@@ -254,16 +254,6 @@ class RaceDetectorBackend(ExecutionBackend):
 
     # -- ExecutionBackend API ------------------------------------------------
 
-    def sweep(self, kernel, srcs, outs, ranges, extra, ph=None,
-              label="cols", size_attr="columns") -> None:
-        self._shadow_sweep(kernel, srcs, outs, ranges, extra)
-        self.inner.sweep(kernel, srcs, outs, ranges, extra, ph=ph,
-                         label=label, size_attr=size_attr)
-
-    def map_shares(self, kernel, shares, n_items, ph=None, label="cb"):
-        self._check_shares(kernel, shares)
-        return self.inner.map_shares(kernel, shares, n_items, ph=ph, label=label)
-
     def sweep_attempt(self, kernel, srcs, outs, ranges, extra, deadline=None,
                       ph=None, label="cols", size_attr="columns"):
         self._shadow_sweep(kernel, srcs, outs, ranges, extra)

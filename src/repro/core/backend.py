@@ -25,17 +25,26 @@ per worker, so results are bit-identical across backends (enforced by
 :class:`~repro.obs.tracer.PhaseRecorder`, so ``amdahl_report`` and the
 worker-timeline exporters can compare backends directly.
 
-Two primitive operations cover every call site:
+Both parallel shapes have one execution path per backend, a best-effort
+*attempt* that never raises on a worker failure and reports every unit's
+outcome in an :class:`Attempt`:
 
-``sweep``
+``sweep_attempt``
     One barrier-synchronized filtering/quantization sweep: a named
     kernel applied to static ``(a, b)`` slabs of shared source/output
     arrays.  Kernels are registered module-level functions (picklable
     by name) in :data:`SWEEP_KERNELS`.
-``map_shares``
+``map_shares_attempt``
     Independent items (code-blocks, simulated-SMP task lists) already
-    dealt into per-worker shares; per-item exceptions are captured and
-    returned so fault isolation is identical for every backend.
+    dealt into per-worker shares; per-item exceptions are captured, so
+    fault isolation is identical for every backend.
+
+These two are the only abstract methods.  :meth:`ExecutionBackend.sweep`
+and :meth:`ExecutionBackend.map_shares`, which every call site uses, are
+defined once on the base class as "one attempt without a deadline, then
+raise or collect"; :class:`~repro.core.supervise.SupervisedBackend`
+implements the attempt pair as its retry loop, so supervised and
+unsupervised runs execute the same code.
 """
 
 from __future__ import annotations
@@ -45,7 +54,6 @@ import pickle
 import time
 from abc import ABC, abstractmethod
 from concurrent.futures import (
-    FIRST_EXCEPTION,
     BrokenExecutor,
     ProcessPoolExecutor,
     ThreadPoolExecutor,
@@ -82,11 +90,11 @@ class WorkerDeath(BaseException):
     The chaos harness (:class:`repro.faults.FaultyBackend`) raises this
     for an injected ``kill`` fault on the ``serial``/``threads`` rungs,
     where a real ``os._exit`` would take the whole interpreter down.  It
-    subclasses :class:`BaseException` on purpose: the per-item fault
-    capture in :func:`_run_item` must *not* treat a dead worker like an
-    ordinary kernel exception -- worker death aborts the attempt (like a
-    ``BrokenProcessPool`` does for the process backend) instead of being
-    concealed per item.
+    subclasses :class:`BaseException` on purpose: the per-unit fault
+    capture of the in-thread attempts must *not* treat a dead worker
+    like an ordinary kernel exception -- worker death aborts the attempt
+    (like a ``BrokenProcessPool`` does for the process backend) instead
+    of being concealed per item.
     """
 
 #: Registered backend names, in reference -> fastest-path order.
@@ -183,25 +191,39 @@ def resolve_item_kernel(name: str):
 
 @dataclass
 class Attempt:
-    """Outcome of one best-effort (supervised) sweep or map attempt.
+    """Outcome of one best-effort sweep or map attempt.
 
     Unit keys are ``(a, b)`` range tuples for sweeps and global item
-    indices for ``map_shares``.  ``failed`` holds *kernel-level*
-    exceptions (the unit ran and raised); units in neither ``done`` nor
-    ``failed`` never finished -- the pool broke or the deadline expired
-    underneath them -- and are safe to re-run because every unit writes
-    a disjoint output slab / result slot.
+    indices for ``map_shares``.  ``results`` maps every unit that ran
+    cleanly to its value (``None`` for a sweep slab); ``failed`` holds
+    *kernel-level* exceptions (the unit ran and raised).  Units in
+    neither never finished -- the pool broke (``fatal``) or the deadline
+    expired underneath them -- and are safe to re-run because every unit
+    writes a disjoint output slab / result slot.
     """
 
-    done: List[Any] = field(default_factory=list)
     results: Dict[Any, Any] = field(default_factory=dict)
     failed: Dict[Any, BaseException] = field(default_factory=dict)
-    broken: Optional[str] = None  # pool-fatal reason, None = pool healthy
+    #: The pool-fatal exception (``BrokenProcessPool``, :class:`WorkerDeath`);
+    #: ``None`` while the pool is healthy.
+    fatal: Optional[BaseException] = None
     timed_out: bool = False
 
     @property
-    def clean(self) -> bool:
-        return self.broken is None and not self.timed_out and not self.failed
+    def broken(self) -> Optional[str]:
+        """Why the pool died, or ``None`` when it did not."""
+        if self.fatal is None:
+            return None
+        kind = "worker death" if isinstance(self.fatal, WorkerDeath) else "broken pool"
+        return f"{kind}: {self.fatal}"
+
+    def merge(self, other: "Attempt") -> None:
+        """Fold a partial attempt (one worker's share) into this one."""
+        self.results.update(other.results)
+        self.failed.update(other.failed)
+        if self.fatal is None:
+            self.fatal = other.fatal
+        self.timed_out = self.timed_out or other.timed_out
 
 
 # ---------------------------------------------------------------------------
@@ -246,52 +268,9 @@ class ExecutionBackend(ABC):
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"{type(self).__name__}(n_workers={self.n_workers})"
 
-    @abstractmethod
-    def sweep(
-        self,
-        kernel: str,
-        srcs: Sequence[np.ndarray],
-        outs: Sequence[np.ndarray],
-        ranges: Sequence[Tuple[int, int]],
-        extra: Dict[str, Any],
-        ph=None,
-        label: str = "cols",
-        size_attr: str = "columns",
-    ) -> None:
-        """Run one barrier sweep of ``SWEEP_KERNELS[kernel]`` over slabs.
-
-        Returns after *every* slab finished (the sweep is the barrier).
-        ``ph`` (a :class:`~repro.obs.tracer.PhaseRecorder`) receives one
-        task record per non-empty slab.
-        """
+    # -- the execution primitives -------------------------------------------
 
     @abstractmethod
-    def map_shares(
-        self,
-        kernel: str,
-        shares: Sequence[Sequence[Tuple[int, Any]]],
-        n_items: int,
-        ph=None,
-        label: str = "cb",
-    ) -> Tuple[List[Optional[Any]], List[Optional[BaseException]]]:
-        """Run ``ITEM_KERNELS[kernel]`` over pre-dealt worker shares.
-
-        ``shares[w]`` is worker ``w``'s list of ``(global_index,
-        payload)`` items.  Returns ``(results, errors)`` lists of length
-        ``n_items`` aligned on the global index; a failed item leaves
-        ``None`` in ``results`` and the exception in ``errors`` (fault
-        capture is per item on every backend, so concealment outcomes
-        cannot depend on the backend or worker count).
-        """
-
-    # -- best-effort attempts (the supervision substrate) -------------------
-    #
-    # The base implementations run in the calling thread: per-unit
-    # exceptions are captured, a :class:`WorkerDeath` aborts the attempt,
-    # and the deadline is checked *between* units (an in-thread kernel
-    # cannot be preempted).  The pooled backends override these with
-    # future-driven versions that enforce the deadline for real.
-
     def sweep_attempt(
         self,
         kernel: str,
@@ -304,33 +283,17 @@ class ExecutionBackend(ABC):
         label: str = "cols",
         size_attr: str = "columns",
     ) -> Attempt:
-        """One best-effort pass over ``ranges``; never raises on worker
-        failure -- the outcome is reported in the returned
-        :class:`Attempt` so a supervisor can re-run what is missing."""
-        fn = resolve_sweep_kernel(kernel)
-        att = Attempt()
-        t0 = time.perf_counter()
-        for a, b in ranges:
-            if a == b:
-                att.done.append((a, b))
-                continue
-            if deadline is not None and time.perf_counter() - t0 > deadline:
-                att.timed_out = True
-                break
-            try:
-                if ph is not None:
-                    with ph.task(f"{label}[{a}:{b}]", **{size_attr: b - a}):
-                        fn(srcs, outs, a, b, extra)
-                else:
-                    fn(srcs, outs, a, b, extra)
-                att.done.append((a, b))
-            except WorkerDeath as exc:
-                att.broken = f"worker death: {exc}"
-                break
-            except Exception as exc:
-                att.failed[(a, b)] = exc
-        return att
+        """One best-effort pass of ``SWEEP_KERNELS[kernel]`` over slabs.
 
+        Never raises on worker failure: the outcome of every slab is
+        reported in the returned :class:`Attempt`, so a supervisor can
+        re-run what is missing.  ``deadline`` (seconds, ``None`` = none)
+        bounds the attempt; ``ph`` (a
+        :class:`~repro.obs.tracer.PhaseRecorder`) receives one task
+        record per non-empty slab that ran.
+        """
+
+    @abstractmethod
     def map_shares_attempt(
         self,
         kernel: str,
@@ -339,45 +302,135 @@ class ExecutionBackend(ABC):
         ph=None,
         label: str = "cb",
     ) -> Attempt:
-        """One best-effort pass over pre-dealt shares (see
-        :meth:`sweep_attempt` for the contract)."""
-        fn = resolve_item_kernel(kernel)
-        att = Attempt()
-        t0 = time.perf_counter()
-        for w, share in enumerate(shares):
-            for i, payload in share:
-                if deadline is not None and time.perf_counter() - t0 > deadline:
-                    att.timed_out = True
-                    return att
+        """One best-effort pass of ``ITEM_KERNELS[kernel]`` over pre-dealt
+        worker shares (``shares[w]`` is worker ``w``'s list of
+        ``(global_index, payload)`` items); same contract as
+        :meth:`sweep_attempt`.  A failed item's task record carries
+        ``concealed=True``."""
+
+    # -- the call-site API: one attempt, then raise or collect --------------
+
+    def sweep(
+        self,
+        kernel: str,
+        srcs: Sequence[np.ndarray],
+        outs: Sequence[np.ndarray],
+        ranges: Sequence[Tuple[int, int]],
+        extra: Dict[str, Any],
+        ph=None,
+        label: str = "cols",
+        size_attr: str = "columns",
+    ) -> None:
+        """Run one barrier sweep; returns after *every* slab finished.
+
+        A pool-fatal error (``BrokenProcessPool``, :class:`WorkerDeath`)
+        propagates; otherwise the kernel failure of the first failing
+        slab in range order does -- a sweep has no concealment path.
+        """
+        att = self.sweep_attempt(kernel, srcs, outs, ranges, extra,
+                                 ph=ph, label=label, size_attr=size_attr)
+        if att.fatal is not None:
+            raise att.fatal
+        for a, b in ranges:
+            if (a, b) in att.failed:
+                raise att.failed[(a, b)]
+
+    def map_shares(
+        self,
+        kernel: str,
+        shares: Sequence[Sequence[Tuple[int, Any]]],
+        n_items: int,
+        ph=None,
+        label: str = "cb",
+    ) -> Tuple[List[Optional[Any]], List[Optional[BaseException]]]:
+        """Run ``ITEM_KERNELS[kernel]`` over pre-dealt worker shares.
+
+        Returns ``(results, errors)`` lists of length ``n_items`` aligned
+        on the global index; a failed item leaves ``None`` in ``results``
+        and the exception in ``errors`` (fault capture is per item on
+        every backend, so concealment outcomes cannot depend on the
+        backend or worker count).  A pool-fatal error propagates.
+        """
+        att = self.map_shares_attempt(kernel, shares, ph=ph, label=label)
+        if att.fatal is not None:
+            raise att.fatal
+        results: List[Optional[Any]] = [None] * n_items
+        errors: List[Optional[BaseException]] = [None] * n_items
+        for i, value in att.results.items():
+            results[i] = value
+        for i, exc in att.failed.items():
+            errors[i] = exc
+        return results, errors
+
+
+# -- in-thread execution ------------------------------------------------------
+#
+# The deadline is checked *between* units (an in-thread kernel cannot be
+# preempted) against an absolute ``stop_at`` on ``time.perf_counter``.
+
+
+def _stop_at(deadline: Optional[float]) -> Optional[float]:
+    return None if deadline is None else time.perf_counter() + deadline
+
+
+def _run_ranges(fn, srcs, outs, ranges, extra, stop_at, ph, label,
+                size_attr) -> Attempt:
+    """Run sweep slabs in order in the calling thread."""
+    att = Attempt()
+    for a, b in ranges:
+        if a != b:
+            if stop_at is not None and time.perf_counter() > stop_at:
+                att.timed_out = True
+                break
+            try:
+                if ph is not None:
+                    with ph.task(f"{label}[{a}:{b}]", **{size_attr: b - a}):
+                        fn(srcs, outs, a, b, extra)
+                else:
+                    fn(srcs, outs, a, b, extra)
+            except WorkerDeath as exc:
+                att.fatal = exc
+                break
+            except Exception as exc:
+                att.failed[(a, b)] = exc
+                continue
+        att.results[(a, b)] = None
+    return att
+
+
+def _run_share(fn, w, share, stop_at, ph, label) -> Attempt:
+    """Run worker ``w``'s share of items in order in the calling thread."""
+    att = Attempt()
+    for i, payload in share:
+        if stop_at is not None and time.perf_counter() > stop_at:
+            att.timed_out = True
+            break
+        try:
+            if ph is None:
+                att.results[i] = fn(payload)
+                continue
+            with ph.task(f"{label}-{i}", worker=w, block=i) as rec:
                 try:
-                    if ph is not None:
-                        with ph.task(f"{label}-{i}", worker=w, block=i):
-                            att.results[i] = fn(payload)
-                    else:
-                        att.results[i] = fn(payload)
-                    att.done.append(i)
-                except WorkerDeath as exc:
-                    att.broken = f"worker death: {exc}"
-                    return att
-                except Exception as exc:
-                    att.failed[i] = exc
-        return att
+                    att.results[i] = fn(payload)
+                except Exception:
+                    rec.attrs["concealed"] = True
+                    raise
+        except WorkerDeath as exc:
+            att.fatal = exc
+            break
+        except Exception as exc:
+            att.failed[i] = exc
+    return att
 
 
-def _run_item(fn, i, payload, worker, ph, label, results, errors) -> None:
-    """Execute one independent item, capturing its exception."""
-    if ph is None:
-        try:
-            results[i] = fn(payload)
-        except Exception as exc:
-            errors[i] = exc
-        return
-    with ph.task(f"{label}-{i}", worker=worker, block=i) as rec:
-        try:
-            results[i] = fn(payload)
-        except Exception as exc:
-            errors[i] = exc
-            rec.attrs["concealed"] = True
+def _run_shares(fn, shares, stop_at, ph, label) -> Attempt:
+    """Run every share in order in the calling thread."""
+    att = Attempt()
+    for w, share in enumerate(shares):
+        att.merge(_run_share(fn, w, share, stop_at, ph, label))
+        if att.fatal is not None or att.timed_out:
+            break
+    return att
 
 
 class SerialBackend(ExecutionBackend):
@@ -385,26 +438,15 @@ class SerialBackend(ExecutionBackend):
 
     name = "serial"
 
-    def sweep(self, kernel, srcs, outs, ranges, extra, ph=None,
-              label="cols", size_attr="columns") -> None:
-        fn = resolve_sweep_kernel(kernel)
-        for a, b in ranges:
-            if a == b:
-                continue
-            if ph is not None:
-                with ph.task(f"{label}[{a}:{b}]", **{size_attr: b - a}):
-                    fn(srcs, outs, a, b, extra)
-            else:
-                fn(srcs, outs, a, b, extra)
+    def sweep_attempt(self, kernel, srcs, outs, ranges, extra, deadline=None,
+                      ph=None, label="cols", size_attr="columns") -> Attempt:
+        return _run_ranges(resolve_sweep_kernel(kernel), srcs, outs, ranges,
+                           extra, _stop_at(deadline), ph, label, size_attr)
 
-    def map_shares(self, kernel, shares, n_items, ph=None, label="cb"):
-        fn = resolve_item_kernel(kernel)
-        results: List[Optional[Any]] = [None] * n_items
-        errors: List[Optional[BaseException]] = [None] * n_items
-        for w, share in enumerate(shares):
-            for i, payload in share:
-                _run_item(fn, i, payload, w, ph, label, results, errors)
-        return results, errors
+    def map_shares_attempt(self, kernel, shares, deadline=None,
+                           ph=None, label="cb") -> Attempt:
+        return _run_shares(resolve_item_kernel(kernel), shares,
+                           _stop_at(deadline), ph, label)
 
 
 class ThreadsBackend(ExecutionBackend):
@@ -433,153 +475,47 @@ class ThreadsBackend(ExecutionBackend):
         if ex is not None:
             ex.shutdown(wait=False, cancel_futures=True)
 
-    def sweep(self, kernel, srcs, outs, ranges, extra, ph=None,
-              label="cols", size_attr="columns") -> None:
-        live = [(a, b) for a, b in ranges if a != b]
-        fn = resolve_sweep_kernel(kernel)
-
-        def work(rng: Tuple[int, int]) -> None:
-            a, b = rng
-            if ph is not None:
-                with ph.task(f"{label}[{a}:{b}]", **{size_attr: b - a}):
-                    fn(srcs, outs, a, b, extra)
-            else:
-                fn(srcs, outs, a, b, extra)
-
-        if self.n_workers == 1 or len(live) <= 1:
-            for rng in live:
-                work(rng)
-        else:
-            # pool.map is the barrier: all slabs finish before return.
-            list(self._pool().map(work, live))
-
-    def map_shares(self, kernel, shares, n_items, ph=None, label="cb"):
-        fn = resolve_item_kernel(kernel)
-        results: List[Optional[Any]] = [None] * n_items
-        errors: List[Optional[BaseException]] = [None] * n_items
-
-        def work(indexed_share) -> None:
-            w, share = indexed_share
-            for i, payload in share:
-                _run_item(fn, i, payload, w, ph, label, results, errors)
-
-        if self.n_workers == 1 or len(shares) <= 1:
-            for pair in enumerate(shares):
-                work(pair)
-        else:
-            list(self._pool().map(work, list(enumerate(shares))))
-        return results, errors
-
-    # -- best-effort attempts ------------------------------------------------
-
-    def _collect_attempt(self, att, futs, deadline) -> None:
-        """Classify per-unit futures into an :class:`Attempt`.
-
-        ``futs`` maps future -> (unit_key, on_done(result)).  Futures
-        still pending at the deadline leave their units unfinished; the
-        caller (the supervisor) rebuilds the pool, which abandons the
-        wedged threads.
-        """
-        done, not_done = wait(list(futs), timeout=deadline)
-        for fut in done:
-            key, on_done = futs[fut]
-            try:
-                value = fut.result()
-            except WorkerDeath as exc:
-                att.broken = f"worker death: {exc}"
-            except BrokenExecutor as exc:
-                att.broken = f"broken pool: {exc}"
-            except Exception as exc:
-                att.failed[key] = exc
-            else:
-                on_done(value)
-                att.done.append(key)
-        if not_done:
-            att.timed_out = True
+    def _gather(self, calls, deadline) -> Attempt:
+        """Run each ``(fn, *args)`` call -- a partial attempt -- on the
+        pool and merge those that finish within ``deadline``.  Calls
+        still running at the deadline leave their units unfinished; the
+        supervisor's rebuild abandons the wedged threads."""
+        pool = self._pool()
+        futs = [pool.submit(*call) for call in calls]
+        done, not_done = wait(futs, timeout=deadline)
+        att = Attempt(timed_out=bool(not_done))
+        for fut in futs:
+            if fut in done:
+                att.merge(fut.result())
+        return att
 
     def sweep_attempt(self, kernel, srcs, outs, ranges, extra, deadline=None,
                       ph=None, label="cols", size_attr="columns") -> Attempt:
+        fn = resolve_sweep_kernel(kernel)
+        stop_at = _stop_at(deadline)
         live = [(a, b) for a, b in ranges if a != b]
         if self.n_workers == 1 or len(live) <= 1:
-            return ExecutionBackend.sweep_attempt(
-                self, kernel, srcs, outs, ranges, extra,
-                deadline=deadline, ph=ph, label=label, size_attr=size_attr,
-            )
-        fn = resolve_sweep_kernel(kernel)
-        att = Attempt()
-        att.done.extend((a, b) for a, b in ranges if a == b)
-
-        def work(rng: Tuple[int, int]) -> None:
-            a, b = rng
-            if ph is not None:
-                with ph.task(f"{label}[{a}:{b}]", **{size_attr: b - a}):
-                    fn(srcs, outs, a, b, extra)
-            else:
-                fn(srcs, outs, a, b, extra)
-
-        try:
-            futs = {self._pool().submit(work, rng): (rng, lambda _v: None)
-                    for rng in live}
-        except BrokenExecutor as exc:  # pragma: no cover - defensive
-            att.broken = f"broken pool: {exc}"
-            return att
-        self._collect_attempt(att, futs, deadline)
+            return _run_ranges(fn, srcs, outs, ranges, extra, stop_at, ph,
+                               label, size_attr)
+        att = self._gather(
+            [(_run_ranges, fn, srcs, outs, [rng], extra, stop_at, ph, label,
+              size_attr) for rng in live],
+            deadline,
+        )
+        att.results.update(dict.fromkeys((a, b) for a, b in ranges if a == b))
         return att
 
     def map_shares_attempt(self, kernel, shares, deadline=None,
                            ph=None, label="cb") -> Attempt:
-        live = [(w, list(share)) for w, share in enumerate(shares) if share]
-        if self.n_workers == 1 or len(live) <= 1:
-            return ExecutionBackend.map_shares_attempt(
-                self, kernel, shares, deadline=deadline, ph=ph, label=label
-            )
         fn = resolve_item_kernel(kernel)
-        att = Attempt()
-
-        def work(indexed_share):
-            # One share per future: per-item kernel exceptions are
-            # captured (fault isolation), a WorkerDeath aborts the share.
-            w, share = indexed_share
-            out = []
-            for i, payload in share:
-                try:
-                    if ph is not None:
-                        with ph.task(f"{label}-{i}", worker=w, block=i):
-                            out.append((i, fn(payload), None))
-                    else:
-                        out.append((i, fn(payload), None))
-                except WorkerDeath:
-                    raise
-                except Exception as exc:
-                    out.append((i, None, exc))
-            return out
-
-        def merge(items) -> None:
-            for i, result, error in items:
-                if error is not None:
-                    att.failed[i] = error
-                else:
-                    att.results[i] = result
-
-        try:
-            futs = {self._pool().submit(work, pair): (pair[0], merge)
-                    for pair in live}
-        except BrokenExecutor as exc:  # pragma: no cover - defensive
-            att.broken = f"broken pool: {exc}"
-            return att
-        done, not_done = wait(list(futs), timeout=deadline)
-        for fut in done:
-            try:
-                merge(fut.result())
-            except WorkerDeath as exc:
-                att.broken = f"worker death: {exc}"
-            except BrokenExecutor as exc:  # pragma: no cover - defensive
-                att.broken = f"broken pool: {exc}"
-        if not_done:
-            att.timed_out = True
-        att.done.extend(att.results)
-        # Items whose error was captured still *ran*; done tracks successes.
-        return att
+        stop_at = _stop_at(deadline)
+        live = [(w, share) for w, share in enumerate(shares) if share]
+        if self.n_workers == 1 or len(live) <= 1:
+            return _run_shares(fn, shares, stop_at, ph, label)
+        return self._gather(
+            [(_run_share, fn, w, share, stop_at, ph, label) for w, share in live],
+            deadline,
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -660,12 +596,13 @@ class ProcessesBackend(ExecutionBackend):
     """True multi-core execution: a process pool fed via shared memory.
 
     Sweep operands live in :mod:`multiprocessing.shared_memory`: sources
-    are copied in once per sweep, every worker maps them zero-copy and
-    writes its slab of the shared outputs in place, and the parent copies
-    the assembled outputs back out.  Code-block shares are pickled (they
-    are small and independent).  Worker busy time is measured inside the
-    worker and fed back into the phase recorder, so worker timelines and
-    the Amdahl accounting stay comparable with the in-process backends.
+    and outputs are copied in once per sweep, every worker maps them
+    zero-copy and writes its slab of the shared outputs in place, and
+    the parent copies the assembled outputs back out.  Code-block shares
+    are pickled (they are small and independent).  Worker busy time is
+    measured inside the worker and fed back into the phase recorder, so
+    worker timelines and the Amdahl accounting stay comparable with the
+    in-process backends.
     """
 
     name = "processes"
@@ -716,192 +653,105 @@ class ProcessesBackend(ExecutionBackend):
                 pass  # pragma: no cover - already dead or reaped
         ex.shutdown(wait=False, cancel_futures=True)
 
-    # -- sweeps -------------------------------------------------------------
+    def _run_pool(self, fn, profiled: str, calls, deadline, att: Attempt):
+        """Run ``fn(*call)`` per call on the pool.
 
-    def _export(self, arr: np.ndarray, segments: List[Any]):
-        """Create a shared segment for ``arr``; returns (descriptor, view)."""
-        from multiprocessing import shared_memory
+        Returns ``(k, value, error)`` for every call ``k`` that finished
+        within ``deadline``, in submission order.  A broken pool or an
+        expired deadline is recorded on ``att`` and rebuilds the pool.
+        With a profiler attached each worker runs
+        ``repro.obs.profile.<profiled>`` instead and its sample table is
+        kept for :meth:`drain_profile_samples`.
+        """
+        hz = self.profile_hz
+        if hz:
+            # Lazy on purpose: the profiler module only loads once a
+            # profiler has attached to this backend.
+            from ..obs import profile
 
-        shm = shared_memory.SharedMemory(create=True, size=arr.nbytes)
-        segments.append(shm)
-        view = np.ndarray(arr.shape, dtype=arr.dtype, buffer=shm.buf)
-        return (shm.name, arr.shape, arr.dtype.str), view
-
-    def sweep(self, kernel, srcs, outs, ranges, extra, ph=None,
-              label="cols", size_attr="columns") -> None:
-        live = [(a, b) for a, b in ranges if a != b]
-        if not live:
-            return
-        degenerate = any(arr.nbytes == 0 for arr in list(srcs) + list(outs))
-        if self.n_workers == 1 or len(live) <= 1 or degenerate:
-            # Nothing to gain from IPC; run the reference path in place.
-            SerialBackend(1).sweep(
-                kernel, srcs, outs, ranges, extra, ph=ph,
-                label=label, size_attr=size_attr,
-            )
-            return
-        segments: List[Any] = []
-        try:
-            src_descs = []
-            for arr in srcs:
-                desc, view = self._export(np.ascontiguousarray(arr), segments)
-                view[...] = arr
-                src_descs.append(desc)
-            out_descs = []
-            out_views = []
-            for arr in outs:
-                desc, view = self._export(arr, segments)
-                out_descs.append(desc)
-                out_views.append(view)
-            try:
-                pool = self._pool()
-                hz = self.profile_hz
-                if hz:
-                    # Lazy on purpose: the profiler module only loads
-                    # once a profiler has attached to this backend.
-                    from ..obs.profile import proc_sweep_profiled
-
-                    futures = [
-                        pool.submit(proc_sweep_profiled, kernel, src_descs,
-                                    out_descs, a, b, extra, hz)
-                        for a, b in live
-                    ]
-                else:
-                    futures = [
-                        pool.submit(_proc_sweep, kernel, src_descs, out_descs,
-                                    a, b, extra)
-                        for a, b in live
-                    ]
-                for w, ((a, b), fut) in enumerate(zip(live, futures)):
-                    busy = fut.result()
-                    if hz:
-                        busy, table = busy
-                        self._profile_tables.append(table)
-                    if ph is not None:
-                        ph.record(
-                            f"{label}[{a}:{b}]", worker=w, seconds=busy,
-                            **{size_attr: b - a},
-                        )
-            except BrokenExecutor:
-                # Discard the dead pool so the next call on this (reused)
-                # instance builds a fresh one instead of failing forever.
-                self.rebuild()
-                raise
-            for arr, view in zip(outs, out_views):
-                arr[...] = view
-        finally:
-            for seg in segments:
-                seg.close()
-                try:
-                    seg.unlink()
-                except FileNotFoundError:  # pragma: no cover - defensive
-                    pass
-
-    # -- independent items --------------------------------------------------
-
-    def map_shares(self, kernel, shares, n_items, ph=None, label="cb"):
-        results: List[Optional[Any]] = [None] * n_items
-        errors: List[Optional[BaseException]] = [None] * n_items
-        live = [(w, list(share)) for w, share in enumerate(shares) if share]
-        if self.n_workers == 1 or len(live) <= 1:
-            return SerialBackend(1).map_shares(kernel, shares, n_items, ph, label)
+            fn = getattr(profile, profiled)
+            calls = [(*call, hz) for call in calls]
+        finished = []
         try:
             pool = self._pool()
-            hz = self.profile_hz
-            if hz:
-                from ..obs.profile import proc_share_profiled
-
-                futures = [pool.submit(proc_share_profiled, kernel, share, hz)
-                           for _, share in live]
-            else:
-                futures = [pool.submit(_proc_share, kernel, share)
-                           for _, share in live]
-            for (w, _), fut in zip(live, futures):
-                items = fut.result()
+            futs = [pool.submit(fn, *call) for call in calls]
+            done, not_done = wait(futs, timeout=deadline)
+            att.timed_out = bool(not_done)
+            for k, fut in enumerate(futs):
+                if fut not in done:
+                    continue
+                try:
+                    value = fut.result()
+                except BrokenExecutor as exc:
+                    att.fatal = exc
+                    continue
+                except Exception as exc:
+                    finished.append((k, None, exc))
+                    continue
                 if hz:
-                    items, table = items
+                    value, table = value
                     self._profile_tables.append(table)
-                for i, result, error, busy in items:
-                    results[i] = result
-                    errors[i] = error
-                    if ph is not None:
-                        attrs = {"block": i}
-                        if error is not None:
-                            attrs["concealed"] = True
-                        ph.record(f"{label}-{i}", worker=w, seconds=busy, **attrs)
-        except BrokenExecutor:
+                finished.append((k, value, None))
+        except BrokenExecutor as exc:
+            att.fatal = exc
+        if att.fatal is not None or att.timed_out:
+            # Discard the dead or wedged pool so the next call on this
+            # (reused) instance builds a fresh one instead of failing
+            # forever; killing the workers also drops their attachments
+            # to the sweep's shared segments.
             self.rebuild()
-            raise
-        return results, errors
+        return finished
 
-    # -- best-effort attempts ------------------------------------------------
+    # -- sweeps -------------------------------------------------------------
+
+    @staticmethod
+    def _share(arrays, segments: List[Any]):
+        """Copy ``arrays`` into fresh shared segments: (descriptors, views)."""
+        from multiprocessing import shared_memory
+
+        descs, views = [], []
+        for arr in arrays:
+            shm = shared_memory.SharedMemory(create=True, size=arr.nbytes)
+            segments.append(shm)
+            view = np.ndarray(arr.shape, dtype=arr.dtype, buffer=shm.buf)
+            view[...] = arr
+            descs.append((shm.name, arr.shape, arr.dtype.str))
+            views.append(view)
+        return descs, views
 
     def sweep_attempt(self, kernel, srcs, outs, ranges, extra, deadline=None,
                       ph=None, label="cols", size_attr="columns") -> Attempt:
         live = [(a, b) for a, b in ranges if a != b]
         degenerate = any(arr.nbytes == 0 for arr in list(srcs) + list(outs))
         if self.n_workers == 1 or len(live) <= 1 or degenerate:
-            return ExecutionBackend.sweep_attempt(
-                self, kernel, srcs, outs, ranges, extra,
-                deadline=deadline, ph=ph, label=label, size_attr=size_attr,
-            )
-        att = Attempt()
-        att.done.extend((a, b) for a, b in ranges if a == b)
+            # Nothing to gain from IPC; run the reference path in place.
+            return _run_ranges(resolve_sweep_kernel(kernel), srcs, outs,
+                               ranges, extra, _stop_at(deadline), ph, label,
+                               size_attr)
+        att = Attempt(results=dict.fromkeys((a, b) for a, b in ranges if a == b))
         segments: List[Any] = []
         try:
-            src_descs = []
-            for arr in srcs:
-                desc, view = self._export(np.ascontiguousarray(arr), segments)
-                view[...] = arr
-                src_descs.append(desc)
-            out_descs = []
-            out_views = []
-            for arr in outs:
-                desc, view = self._export(arr, segments)
-                # Seed the shared output with the current array so the
-                # unconditional copy-back below is lossless for slabs
-                # this attempt never reached: slabs completed by earlier
-                # attempts survive, unfinished slabs stay re-runnable.
-                view[...] = arr
-                out_descs.append(desc)
-                out_views.append(view)
-            try:
-                pool = self._pool()
-                futs = {
-                    pool.submit(_proc_sweep, kernel, src_descs, out_descs,
-                                a, b, extra): (w, (a, b))
-                    for w, (a, b) in enumerate(live)
-                }
-            except BrokenExecutor as exc:
-                att.broken = f"broken pool: {exc}"
-                self.rebuild()
-                return att
-            done, not_done = wait(list(futs), timeout=deadline)
-            for fut in done:
-                w, rng = futs[fut]
-                a, b = rng
-                try:
-                    busy = fut.result()
-                except BrokenExecutor as exc:
-                    att.broken = f"broken pool: {exc}"
-                except Exception as exc:
-                    att.failed[rng] = exc
-                else:
-                    att.done.append(rng)
-                    if ph is not None:
-                        ph.record(
-                            f"{label}[{a}:{b}]", worker=w, seconds=busy,
-                            **{size_attr: b - a},
-                        )
-            if not_done:
-                att.timed_out = True
+            src_descs, _ = self._share(srcs, segments)
+            # The shared outputs start as the current arrays so the
+            # copy-back below is lossless for slabs this attempt never
+            # reached: slabs completed by earlier attempts survive,
+            # unfinished slabs stay re-runnable.
+            out_descs, out_views = self._share(outs, segments)
+            calls = [(kernel, src_descs, out_descs, a, b, extra) for a, b in live]
+            for w, busy, error in self._run_pool(
+                _proc_sweep, "proc_sweep_profiled", calls, deadline, att
+            ):
+                a, b = live[w]
+                if error is not None:
+                    att.failed[(a, b)] = error
+                    continue
+                att.results[(a, b)] = None
+                if ph is not None:
+                    ph.record(f"{label}[{a}:{b}]", worker=w, seconds=busy,
+                              **{size_attr: b - a})
             for arr, view in zip(outs, out_views):
                 arr[...] = view
         finally:
-            if att.broken is not None or att.timed_out:
-                # Dead or wedged workers may still hold attachments; a
-                # rebuild kills them so the segments can be reclaimed.
-                self.rebuild()
             for seg in segments:
                 seg.close()
                 try:
@@ -910,45 +760,32 @@ class ProcessesBackend(ExecutionBackend):
                     pass
         return att
 
+    # -- independent items --------------------------------------------------
+
     def map_shares_attempt(self, kernel, shares, deadline=None,
                            ph=None, label="cb") -> Attempt:
-        live = [(w, list(share)) for w, share in enumerate(shares) if share]
+        live = [(w, share) for w, share in enumerate(shares) if share]
         if self.n_workers == 1 or len(live) <= 1:
-            return ExecutionBackend.map_shares_attempt(
-                self, kernel, shares, deadline=deadline, ph=ph, label=label
-            )
+            return _run_shares(resolve_item_kernel(kernel), shares,
+                               _stop_at(deadline), ph, label)
         att = Attempt()
-        try:
-            pool = self._pool()
-            futs = {pool.submit(_proc_share, kernel, share): w
-                    for w, share in live}
-        except BrokenExecutor as exc:
-            att.broken = f"broken pool: {exc}"
-            self.rebuild()
-            return att
-        done, not_done = wait(list(futs), timeout=deadline)
-        for fut in done:
-            w = futs[fut]
-            try:
-                items = fut.result()
-            except BrokenExecutor as exc:
-                att.broken = f"broken pool: {exc}"
-                continue
-            for i, result, error, busy in items:
-                if error is not None:
-                    att.failed[i] = error
+        calls = [(kernel, share) for _, share in live]
+        for k, items, error in self._run_pool(
+            _proc_share, "proc_share_profiled", calls, deadline, att
+        ):
+            if error is not None:
+                raise error  # the share never ran (e.g. an unknown kernel)
+            w = live[k][0]
+            for i, result, item_error, busy in items:
+                if item_error is not None:
+                    att.failed[i] = item_error
                 else:
                     att.results[i] = result
-                    att.done.append(i)
                 if ph is not None:
                     attrs = {"block": i}
-                    if error is not None:
+                    if item_error is not None:
                         attrs["concealed"] = True
                     ph.record(f"{label}-{i}", worker=w, seconds=busy, **attrs)
-        if not_done:
-            att.timed_out = True
-        if att.broken is not None or att.timed_out:
-            self.rebuild()
         return att
 
 

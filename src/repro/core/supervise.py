@@ -156,10 +156,12 @@ def _ladder_name(backend: ExecutionBackend) -> str:
 class SupervisedBackend(ExecutionBackend):
     """Fault-tolerant wrapper around any execution backend.
 
-    Drop-in for the wrapped backend: ``sweep`` and ``map_shares`` keep
-    their exact contracts (including per-item error capture for
-    concealment), they just survive worker death, hangs and transient
-    kernel faults along the way.  Degradation is sticky -- once the
+    Drop-in for the wrapped backend: its attempt pair is the retry loop
+    :meth:`_drive`, whose :class:`Attempt` holds only persistent kernel
+    errors, so the inherited ``sweep`` and ``map_shares`` keep their
+    exact contracts (including per-item error capture for concealment)
+    and just survive worker death, hangs and transient kernel faults
+    along the way.  Degradation is sticky -- once the
     wrapper has stepped down to ``threads`` or ``serial`` it stays
     there, because a pool that just killed workers will do it again.
     """
@@ -259,18 +261,18 @@ class SupervisedBackend(ExecutionBackend):
         op: str,
         pending: Dict[Any, None],
         run: Callable[[ExecutionBackend, Sequence[Any], Optional[float]], Attempt],
-        collect: Optional[Dict[Any, Any]] = None,
         ph=None,
-    ) -> Dict[Any, BaseException]:
-        """Run attempts until ``pending`` drains; returns surviving
-        kernel-level failures (empty unless the bottom rung kept
-        failing).  Raises :class:`SupervisionError` for units that
-        could never be *run* once every retry and rung is spent."""
+    ) -> Attempt:
+        """Run attempts until ``pending`` drains; returns every unit's
+        result plus the surviving kernel-level failures (empty unless
+        the bottom rung kept failing).  Raises :class:`SupervisionError`
+        for units that could never be *run* once every retry and rung is
+        spent."""
         policy = self.policy
         before = (self.report.retries, self.report.pool_rebuilds,
                   self.report.degradations, self.report.timeouts,
                   self.report.worker_deaths)
-        failures: Dict[Any, BaseException] = {}
+        out = Attempt()
         retries_left = policy.max_retries
         retry_index = 0
         while True:
@@ -291,27 +293,24 @@ class SupervisedBackend(ExecutionBackend):
                     )
                 timeout = remaining if timeout is None else min(timeout, remaining)
             att = run(self._rung, list(pending), timeout)
-            for key in att.done:
+            for key in att.results:
                 pending.pop(key, None)
-                failures.pop(key, None)
-            if collect is not None:
-                collect.update(att.results)
+                out.failed.pop(key, None)
+            out.results.update(att.results)
             if att.failed:
-                failures.update(att.failed)
+                out.failed.update(att.failed)
                 self._event(
                     "kernel-error", op, "kernel_errors",
                     f"{len(att.failed)} unit(s): {next(iter(att.failed.values()))!r}",
                 )
-            if att.broken is not None:
-                kind = ("worker-death" if "worker death" in att.broken
-                        else "worker-death")
-                self._event(kind, op, "worker_deaths", att.broken)
+            if att.fatal is not None:
+                self._event("worker-death", op, "worker_deaths", att.broken)
             if att.timed_out:
                 self._event("timeout", op, "timeouts",
                             f"deadline {timeout}s expired")
             if not pending:
                 break
-            if att.broken is not None or att.timed_out:
+            if att.fatal is not None or att.timed_out:
                 self._rung.rebuild()
                 self._event("rebuild", op, "pool_rebuilds")
             if retries_left > 0:
@@ -330,7 +329,7 @@ class SupervisedBackend(ExecutionBackend):
                 retries_left = policy.max_retries
                 retry_index = 0
                 continue
-            unrun = [k for k in pending if k not in failures]
+            unrun = [k for k in pending if k not in out.failed]
             if unrun:
                 self._event("give-up", op, None,
                             f"{len(unrun)} unit(s) never ran")
@@ -345,34 +344,32 @@ class SupervisedBackend(ExecutionBackend):
             # Only persistent kernel errors remain: hand them to the
             # caller so map/sweep surface them exactly like the
             # unsupervised backends would.
-            for key in failures:
-                pending.pop(key, None)
             break
         self.report.final_backend = _ladder_name(self._rung)
         self._stamp(ph, before)
-        return failures
+        return out
 
     # -- ExecutionBackend API ------------------------------------------------
+    #
+    # ``deadline`` is unused: the policy's phase timeout and
+    # :attr:`call_deadline` bound every inner attempt.
 
-    def sweep(self, kernel, srcs, outs, ranges, extra, ph=None,
-              label="cols", size_attr="columns") -> None:
+    def sweep_attempt(self, kernel, srcs, outs, ranges, extra, deadline=None,
+                      ph=None, label="cols", size_attr="columns") -> Attempt:
         pending: Dict[Tuple[int, int], None] = dict.fromkeys(
             (int(a), int(b)) for a, b in ranges
         )
 
-        def run(bk, units, deadline):
+        def run(bk, units, timeout):
             return bk.sweep_attempt(
-                kernel, srcs, outs, units, extra, deadline=deadline,
+                kernel, srcs, outs, units, extra, deadline=timeout,
                 ph=ph, label=label, size_attr=size_attr,
             )
 
-        failures = self._drive("sweep", pending, run, ph=ph)
-        if failures:
-            # A sweep has no concealment path; match the unsupervised
-            # behaviour (first slab failure propagates).
-            raise next(iter(failures.values()))
+        return self._drive("sweep", pending, run, ph=ph)
 
-    def map_shares(self, kernel, shares, n_items, ph=None, label="cb"):
+    def map_shares_attempt(self, kernel, shares, deadline=None,
+                           ph=None, label="cb") -> Attempt:
         payloads: Dict[int, Any] = {}
         deal: List[List[int]] = []
         for share in shares:
@@ -381,7 +378,7 @@ class SupervisedBackend(ExecutionBackend):
                 payloads[int(i)] = payload
         pending: Dict[int, None] = dict.fromkeys(payloads)
 
-        def run(bk, units, deadline):
+        def run(bk, units, timeout):
             want = set(units)
             # Keep the original (paper-staggered) deal, filtered to the
             # still-pending items; order within a share is preserved so
@@ -391,19 +388,10 @@ class SupervisedBackend(ExecutionBackend):
                 for idxs in deal
             ]
             return bk.map_shares_attempt(
-                kernel, sub, deadline=deadline, ph=ph, label=label
+                kernel, sub, deadline=timeout, ph=ph, label=label
             )
 
-        results_map: Dict[int, Any] = {}
-        failures = self._drive("map", pending, run, collect=results_map, ph=ph)
-        results: List[Optional[Any]] = [None] * n_items
-        errors: List[Optional[BaseException]] = [None] * n_items
-        for i, value in results_map.items():
-            results[i] = value
-        for i, exc in failures.items():
-            results[i] = None
-            errors[i] = exc
-        return results, errors
+        return self._drive("map", pending, run, ph=ph)
 
 
 def resolve_policy(supervise, fallback: Optional[SupervisionPolicy] = None):

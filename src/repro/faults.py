@@ -364,8 +364,9 @@ def _chaos_item(payload):
 class FaultyBackend(ExecutionBackend):
     """Chaos-injecting wrapper around a real execution backend.
 
-    Counts ``sweep`` and ``map`` invocations (plain and ``*_attempt``
-    alike), arms the first matching :class:`ComputeFault` per call, and
+    Counts ``sweep`` and ``map`` attempts (every plain ``sweep`` /
+    ``map_shares`` call is one attempt; a supervised call makes one per
+    retry), arms the first matching :class:`ComputeFault` per attempt, and
     rewrites the kernel/payloads so the fault fires *inside* the target
     worker.  One-shot faults are consumed at arming time, which is what
     makes supervised retries converge; ``persistent`` faults keep
@@ -439,16 +440,6 @@ class FaultyBackend(ExecutionBackend):
         return "repro.faults:_chaos_item", wrapped
 
     # -- ExecutionBackend API ------------------------------------------------
-
-    def sweep(self, kernel, srcs, outs, ranges, extra, ph=None,
-              label="cols", size_attr="columns") -> None:
-        kernel, extra = self._sweep_args(kernel, ranges, extra)
-        return self.inner.sweep(kernel, srcs, outs, ranges, extra, ph=ph,
-                                label=label, size_attr=size_attr)
-
-    def map_shares(self, kernel, shares, n_items, ph=None, label="cb"):
-        kernel, shares = self._map_args(kernel, shares)
-        return self.inner.map_shares(kernel, shares, n_items, ph=ph, label=label)
 
     def sweep_attempt(self, kernel, srcs, outs, ranges, extra, deadline=None,
                       ph=None, label="cols", size_attr="columns"):

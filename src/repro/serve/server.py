@@ -166,6 +166,7 @@ class CodecServer:
         self._arrived: Optional[asyncio.Event] = None
         self._batcher: Optional[asyncio.Task] = None
         self._inflight: set = set()
+        self._conns: set = set()  # _handle_conn tasks inside their read loop
         self._tcp_servers: List[asyncio.AbstractServer] = []
         self._stopping = False
         self._started = False
@@ -190,7 +191,8 @@ class CodecServer:
 
     async def stop(self) -> None:
         """Drain and shut down: queued requests answer ``shutdown``,
-        in-flight batches finish normally, pools close."""
+        in-flight batches finish normally, open connections flush their
+        replies and close, pools close."""
         if not self._started:
             return
         self._stopping = True
@@ -200,12 +202,19 @@ class CodecServer:
         self._arrived.set()
         for srv in self._tcp_servers:
             srv.close()
-        for srv in self._tcp_servers:
-            await srv.wait_closed()
-        self._tcp_servers.clear()
+        # A connection the client left open would otherwise keep its
+        # handler parked in ``reader.read`` past the end of the loop.
+        conns = list(self._conns)
+        for task in conns:
+            task.cancel()
         await self._batcher
         if self._inflight:
             await asyncio.gather(*list(self._inflight), return_exceptions=True)
+        if conns:
+            await asyncio.gather(*conns, return_exceptions=True)
+        for srv in self._tcp_servers:
+            await srv.wait_closed()
+        self._tcp_servers.clear()
         self._pools.close()
         self._started = False
 
@@ -373,7 +382,10 @@ class CodecServer:
         """Manually framed read loop: never trusts ``readline``'s
         buffer limit (an overrun would kill the connection), bounds
         frames at ``config.max_frame`` itself, and keeps serving the
-        connection after an oversized or malformed frame."""
+        connection after an oversized or malformed frame.  Cancellation
+        by :meth:`stop` ends the connection like a client hang-up."""
+        me = asyncio.current_task()
+        self._conns.add(me)
         write_lock = asyncio.Lock()
         tasks: set = set()
         max_frame = self.config.max_frame
@@ -412,7 +424,13 @@ class CodecServer:
                         self._spawn_line(line, writer, write_lock, tasks)
         except (ConnectionError, OSError):
             pass  # torn mid-frame; in-flight replies flush below
+        except asyncio.CancelledError:
+            if not self._stopping:
+                raise
+            # stop() cancelled the read: in-flight replies flush below.
         finally:
+            # Out of the read loop: stop() must not cancel the flush.
+            self._conns.discard(me)
             if tasks:
                 await asyncio.gather(*list(tasks), return_exceptions=True)
             writer.close()

@@ -85,10 +85,12 @@ def seeded_image(seed: int, h: int, w: int, kind: str = "noise") -> np.ndarray:
     return rng_.integers(0, 256, size=(h, w)).astype(np.float64)
 
 
-def encode_bytes(image, params, *, backend=None, n_workers=1) -> bytes:
+def encode_bytes(image, params, *, backend=None, n_workers=1,
+                 supervise=None) -> bytes:
     """Encode and return just the codestream bytes."""
     from repro.codec import encode_image
 
     return encode_image(
-        image, params, n_workers=n_workers, backend=backend
+        image, params, n_workers=n_workers, backend=backend,
+        supervise=supervise,
     ).data

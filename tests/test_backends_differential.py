@@ -59,18 +59,22 @@ def _params(levels: int, cb: int, filt: str) -> CodecParams:
 
 
 def _assert_case_identical(case, process_backend) -> None:
-    """All backends byte-identical; lossless cases round-trip exactly."""
+    """All backends byte-identical, supervised or not; lossless cases
+    round-trip exactly."""
     seed, shape, kind, levels, cb, filt = case
     img = seeded_image(seed, *shape, kind=kind)
     params = _params(levels, cb, filt)
     reference = encode_bytes(img, params, backend="serial", n_workers=2)
-    for backend in ("threads", process_backend):
-        data = encode_bytes(img, params, backend=backend, n_workers=2)
-        assert data == reference, f"{backend} diverged on {case}"
     decoded_ref = decode_image(reference)
     for backend in ("serial", "threads", process_backend):
-        out = decode_image(reference, n_workers=2, backend=backend)
-        assert np.array_equal(out, decoded_ref), f"{backend} decode on {case}"
+        for supervise in (False, True):
+            where = f"{backend} (supervise={supervise}) on {case}"
+            data = encode_bytes(img, params, backend=backend, n_workers=2,
+                                supervise=supervise)
+            assert data == reference, f"encode diverged: {where}"
+            out = decode_image(reference, n_workers=2, backend=backend,
+                               supervise=supervise)
+            assert np.array_equal(out, decoded_ref), f"decode diverged: {where}"
     if filt == "5/3":
         assert np.array_equal(decoded_ref, img), f"lossless broke on {case}"
 

@@ -492,24 +492,28 @@ class TestSamplingProfiler:
         from repro.obs.profile import SamplingProfiler
 
         res = encode_image(small_image, CodecParams(levels=2, cb_size=16))
-        tr = Tracer()
-        prof = SamplingProfiler(tr, hz=300.0)
-        prof.attach(process_backend)
-        try:
-            with prof:
-                decode_image(
-                    res.data, n_workers=2, backend=process_backend, tracer=tr
-                )
-        finally:
-            prof.detach()
-        assert process_backend.profile_hz is None  # detached again
-        assert not process_backend.drain_profile_samples()  # drained
-        assert prof.worker_tables, "workers must ship sample tables"
-        for table in prof.worker_tables:
-            assert table["n_samples"] >= 0
-            assert isinstance(table["counts"], dict)
-        # Shipped samples land in the merged view under "(worker)" spans.
-        assert any(s.endswith("(worker)") for s in prof.by_span())
+        # Supervised and unsupervised calls run the same attempt path,
+        # so both must ship worker samples.
+        for supervise in (False, True):
+            tr = Tracer()
+            prof = SamplingProfiler(tr, hz=300.0)
+            prof.attach(process_backend)
+            try:
+                with prof:
+                    decode_image(
+                        res.data, n_workers=2, backend=process_backend,
+                        tracer=tr, supervise=supervise,
+                    )
+            finally:
+                prof.detach()
+            assert process_backend.profile_hz is None  # detached again
+            assert not process_backend.drain_profile_samples()  # drained
+            assert prof.worker_tables, f"no sample tables (supervise={supervise})"
+            for table in prof.worker_tables:
+                assert table["n_samples"] >= 0
+                assert isinstance(table["counts"], dict)
+            # Shipped samples land in the merged view under "(worker)" spans.
+            assert any(s.endswith("(worker)") for s in prof.by_span())
 
 
 # ---------------------------------------------------------------------------

@@ -15,6 +15,7 @@ from __future__ import annotations
 import asyncio
 import base64
 import json
+import logging
 import threading
 
 import numpy as np
@@ -513,6 +514,38 @@ class TestTcp:
         assert np.array_equal(img, decode_image(reference))
         assert bad_op["status"] == "error" and "transmogrify" in bad_op["error"]
         assert bad_json["status"] == "error"
+
+    def test_stop_ends_connections_the_client_left_open(self, caplog):
+        """An idle client connection must not outlive stop(): its
+        handler ends there, so asyncio.run has nothing left to cancel
+        (a cancelled handler logs an unhandled CancelledError)."""
+
+        def handlers():
+            return [t for t in asyncio.all_tasks()
+                    if getattr(t.get_coro(), "__qualname__", "")
+                    == "CodecServer._handle_conn"]
+
+        async def main():
+            server = CodecServer(_serve_config())
+            await server.start()
+            host, port = await server.serve_tcp("127.0.0.1", 0)
+            _reader, writer = await asyncio.open_connection(host, port)
+            try:
+                for _ in range(200):
+                    if handlers():
+                        break
+                    await asyncio.sleep(0.005)
+                assert handlers(), "the server never accepted the connection"
+                await server.stop()
+                return handlers()
+            finally:
+                writer.close()
+
+        with caplog.at_level(logging.ERROR, logger="asyncio"):
+            pending = asyncio.run(main())
+        assert pending == []
+        assert not [r for r in caplog.records
+                    if r.name == "asyncio" and r.levelno >= logging.ERROR]
 
     def test_tcp_target_load_run(self):
         spec = LoadSpec(rate=100.0, duration=0.1, side=16, levels=1,

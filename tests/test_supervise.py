@@ -12,6 +12,8 @@ matrix is marked ``slow`` (``pytest -m slow``).
 
 from __future__ import annotations
 
+import time
+
 import numpy as np
 import pytest
 from concurrent.futures.process import BrokenProcessPool
@@ -462,6 +464,117 @@ class TestCallDeadline:
         finally:
             sup.close()
         assert result.data == _reference()
+
+
+# -- the error contract on every rung ------------------------------------------
+
+
+def _fail_every_slab(srcs, outs, a, b, extra) -> None:
+    """Sweep kernel failing on every slab; the first slab finishes last,
+    so completion order differs from range order on pooled rungs."""
+    if a == 0:
+        time.sleep(0.05)
+    raise ValueError(f"slab {a}:{b}")
+
+
+def _fail_odd_items(payload):
+    if payload % 2:
+        raise ValueError(f"item {payload}")
+    return payload * 10
+
+
+RUNGS = [
+    pytest.param(name, sup, id=f"{name}-{'supervised' if sup else 'unsupervised'}")
+    for name in ("serial", "threads", "processes")
+    for sup in (False, True)
+]
+
+
+def _on_rung(inner, supervise):
+    return supervised(inner, FAST) if supervise else inner
+
+
+class TestErrorContract:
+    """Supervised and unsupervised calls share one path per backend; what
+    a caller sees on failure must still be the documented contract."""
+
+    @pytest.mark.parametrize("name,supervise", RUNGS)
+    @pytest.mark.parametrize("op", ["sweep", "map"])
+    def test_worker_kill(self, name, supervise, op):
+        from repro.core.backend import WorkerDeath
+        from repro.quant.deadzone import quantize
+        from repro.smp.machine import INTEL_SMP
+        from repro.smp.task import Task
+
+        flat = np.linspace(-4.0, 4.0, 16)
+        ref = quantize(flat, 0.5)
+        out = np.zeros_like(ref)
+        payload = ((Task("t", ops=10.0),), INTEL_SMP)
+        bk = _on_rung(
+            FaultyBackend(get_backend(name, 2), [ComputeFault("kill", op=op)]),
+            supervise,
+        )
+
+        def run():
+            if op == "sweep":
+                bk.sweep("quantize", (flat,), (out,), [(0, 8), (8, 16)],
+                         {"step": 0.5})
+                return None
+            return bk.map_shares("smp-cycles", [[(0, payload)], [(1, payload)]], 2)
+
+        try:
+            if supervise:
+                got = run()
+            else:
+                death = BrokenProcessPool if name == "processes" else WorkerDeath
+                with pytest.raises(death):
+                    run()
+                got = run()  # the kill is spent; the rung still works
+        finally:
+            bk.close()
+        if op == "sweep":
+            assert np.array_equal(out, ref)
+        else:
+            results, errors = got
+            assert errors == [None, None] and None not in results
+
+    @pytest.mark.parametrize("name,supervise", RUNGS)
+    def test_sweep_raises_first_range_failure(self, name, supervise):
+        src = np.arange(32.0).reshape(4, 8)
+        out = np.zeros_like(src)
+        bk = _on_rung(get_backend(name, 2), supervise)
+        try:
+            with pytest.raises(ValueError, match=r"^slab 0:4$"):
+                bk.sweep("tests.test_supervise:_fail_every_slab", (src,),
+                         (out,), [(0, 4), (4, 8)], {})
+        finally:
+            bk.close()
+
+    @pytest.mark.parametrize("name,supervise", RUNGS)
+    def test_failed_map_items_are_concealed(self, name, supervise):
+        from repro.obs import Tracer
+
+        shares = [[(0, 0), (2, 2), (4, 4)], [(1, 1), (3, 3)]]
+        tracer = Tracer()
+        bk = _on_rung(get_backend(name, 2), supervise)
+        try:
+            with tracer.phase("t1") as ph:
+                results, errors = bk.map_shares(
+                    "tests.test_supervise:_fail_odd_items", shares, 6, ph=ph
+                )
+        finally:
+            bk.close()
+        assert results == [0, None, 20, None, 40, None]
+        assert [type(e).__name__ if e else None for e in errors] == [
+            None, "ValueError", None, "ValueError", None, None
+        ]
+        by_item = {}
+        for rec in tracer.tasks:
+            by_item.setdefault(rec.attrs["block"], []).append(rec)
+        assert sorted(by_item) == [0, 1, 2, 3, 4]
+        for i, recs in by_item.items():
+            concealed = {bool(r.attrs.get("concealed")) for r in recs}
+            assert concealed == {bool(i % 2)}, (i, concealed)
 
 
 # -- wide matrix (slow) ------------------------------------------------------
