@@ -19,7 +19,7 @@ enforced by property-based tests.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
+from typing import Iterable, List, Optional, Sequence, Tuple
 
 __all__ = ["MQEncoder", "MQDecoder", "N_STATES"]
 
@@ -82,11 +82,31 @@ _NLPS = tuple(row[2] for row in _QE_TABLE)
 _SWITCH = tuple(row[3] for row in _QE_TABLE)
 
 
+def _byteout(buf: bytearray, c: int) -> Tuple[int, int]:
+    """T.800 BYTEOUT: move the top byte of ``C`` into ``buf``.
+
+    Resolves a carry into the previous byte and stuffs a zero bit after
+    ``0xFF``; returns the new ``(C, CT)``.
+    """
+    if buf[-1] == 0xFF:
+        buf.append((c >> 20) & 0xFF)
+        return c & 0xFFFFF, 7
+    if c >= 0x8000000:
+        buf[-1] += 1
+        if buf[-1] == 0xFF:
+            c &= 0x7FFFFFF
+            buf.append((c >> 20) & 0xFF)
+            return c & 0xFFFFF, 7
+    buf.append((c >> 19) & 0xFF)
+    return c & 0x7FFFF, 8
+
+
 class MQEncoder:
     """MQ encoder over ``n_contexts`` adaptive contexts.
 
-    Use :meth:`encode` per binary decision, :meth:`flush` once at the end,
-    and read the segment from :meth:`get_bytes`.  :meth:`tell_bytes` gives
+    Feed decisions with :meth:`encode_many` (or :meth:`encode` for a
+    single one), call :meth:`flush` once at the end, and read the segment
+    from :meth:`get_bytes`.  :meth:`tell_bytes` gives
     the running segment length used for truncation-point rates.
     """
 
@@ -107,70 +127,56 @@ class MQEncoder:
         self._buf = bytearray([0])
         self._flushed = False
 
-    # -- internal machinery -------------------------------------------------
-
-    def _byteout(self) -> None:
-        buf = self._buf
-        if buf[-1] == 0xFF:
-            buf.append((self._c >> 20) & 0xFF)
-            self._c &= 0xFFFFF
-            self._ct = 7
-        else:
-            if self._c < 0x8000000:
-                buf.append((self._c >> 19) & 0xFF)
-                self._c &= 0x7FFFF
-                self._ct = 8
-            else:
-                buf[-1] += 1
-                if buf[-1] == 0xFF:
-                    self._c &= 0x7FFFFFF
-                    buf.append((self._c >> 20) & 0xFF)
-                    self._c &= 0xFFFFF
-                    self._ct = 7
-                else:
-                    buf.append((self._c >> 19) & 0xFF)
-                    self._c &= 0x7FFFF
-                    self._ct = 8
-
-    def _renorm(self) -> None:
-        while True:
-            self._a = (self._a << 1) & 0xFFFF
-            self._c = (self._c << 1) & 0xFFFFFFF
-            self._ct -= 1
-            if self._ct == 0:
-                self._byteout()
-            if self._a & 0x8000:
-                break
-
     # -- public API ---------------------------------------------------------
 
     def encode(self, decision: int, context: int) -> None:
         """Code one binary ``decision`` (0/1) in ``context``."""
+        self.encode_many((decision,), (context,))
+
+    def encode_many(self, decisions: Iterable[int], contexts: Iterable[int]) -> None:
+        """Code ``decisions[i]`` in ``contexts[i]``, in order.
+
+        The one coding loop of the encoder: the registers and context
+        tables live in locals, and renormalisation shifts ``A`` and ``C``
+        by the whole distance to the next interval bound at once, with a
+        byte-out wherever ``CT`` runs out on the way.
+        """
         if self._flushed:
             raise RuntimeError("encoder already flushed")
-        idx = self._index[context]
-        qe = _QE[idx]
-        if decision == self._mps[context]:
-            self._a -= qe
-            if self._a & 0x8000:
-                self._c += qe
-                return
-            if self._a < qe:
-                self._a = qe
+        index, mps, buf = self._index, self._mps, self._buf
+        qe_of, nmps, nlps, switch = _QE, _NMPS, _NLPS, _SWITCH
+        a, c, ct = self._a, self._c, self._ct
+        for d, cx in zip(decisions, contexts):
+            idx = index[cx]
+            qe = qe_of[idx]
+            a -= qe
+            if d == mps[cx]:
+                if a & 0x8000:
+                    c += qe
+                    continue
+                if a < qe:
+                    a = qe
+                else:
+                    c += qe
+                index[cx] = nmps[idx]
             else:
-                self._c += qe
-            self._index[context] = _NMPS[idx]
-            self._renorm()
-        else:
-            self._a -= qe
-            if self._a < qe:
-                self._c += qe
-            else:
-                self._a = qe
-            if _SWITCH[idx]:
-                self._mps[context] ^= 1
-            self._index[context] = _NLPS[idx]
-            self._renorm()
+                if a < qe:
+                    c += qe
+                else:
+                    a = qe
+                if switch[idx]:
+                    mps[cx] ^= 1
+                index[cx] = nlps[idx]
+            # RENORME: here 0 < A < 0x8000.
+            shift = 16 - a.bit_length()
+            a <<= shift
+            while shift >= ct:
+                c = (c << ct) & 0xFFFFFFF
+                shift -= ct
+                c, ct = _byteout(buf, c)
+            c = (c << shift) & 0xFFFFFFF
+            ct -= shift
+        self._a, self._c, self._ct = a, c, ct
 
     def flush(self) -> None:
         """Terminate the segment (T.800 FLUSH: setbits + two byteouts)."""
@@ -185,8 +191,7 @@ class MQEncoder:
         # plus one safety byte so the last decision never depends on
         # synthesized padding; costs at most one byte per segment).
         for _ in range(3):
-            self._c = (self._c << self._ct) & 0xFFFFFFF
-            self._byteout()
+            self._c, self._ct = _byteout(self._buf, (self._c << self._ct) & 0xFFFFFFF)
         if self._buf[-1] == 0xFF:
             self._buf.pop()
         self._flushed = True

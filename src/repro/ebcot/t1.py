@@ -11,13 +11,23 @@ coefficient units; the allocator applies quantizer step and subband
 synthesis gain).
 
 See :mod:`repro.ebcot` for the documented pass-boundary (Jacobi) context
-freeze that makes the state updates vectorizable; encoder and decoder
-mirror each other exactly and round-trip bit-exactly (property-tested).
+freeze.  Because of it, every pass's full ``(decision, context)``
+sequence is a function of the pass-start state alone: the encoder builds
+it with whole-array NumPy in stripe scan order -- zero coding and sign
+bits (``neg ^ xor``), refinement bits, and the cleanup pass's run-mode
+heads for quiet full-stripe columns -- and codes it with one
+:meth:`~repro.ebcot.mq.MQEncoder.encode_many` call.  The decoder's
+decisions stay sequential (whether a sign follows, and which rows a
+run-mode column codes, depend on decoded bits), but each pass hoists its
+frozen contexts into Python lists and writes its newly significant
+samples back once.
+Encoder and decoder mirror each other exactly and round-trip bit-exactly
+(property-tested); ``tests/test_t1_golden.py`` pins the bytes.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 from typing import List, Optional, Tuple
 
@@ -81,25 +91,43 @@ class EncodedBlock:
 
 
 @lru_cache(maxsize=64)
-def _scan_order(height: int, width: int) -> Tuple[np.ndarray, np.ndarray]:
-    """Row/column index arrays in JPEG2000 stripe scan order.
+def _scan_order(height: int, width: int) -> np.ndarray:
+    """Row-major flat indices of a block in JPEG2000 stripe scan order.
 
     Stripes of four rows; within a stripe, columns left to right; within
-    a column, rows top to bottom.
+    a column, rows top to bottom.  The first ``4 * (height // 4) * width``
+    entries are the full stripes: one group of four per stripe column.
     """
-    rows: List[int] = []
-    cols: List[int] = []
-    for stripe in range(0, height, 4):
-        stop = min(stripe + 4, height)
-        for c in range(width):
-            for r in range(stripe, stop):
-                rows.append(r)
-                cols.append(c)
-    return np.array(rows, dtype=np.intp), np.array(cols, dtype=np.intp)
+    rows, cols = np.divmod(np.arange(height * width), width)
+    order = np.lexsort((rows, cols, rows // 4))
+    order.flags.writeable = False
+    return order
+
+
+def _run_columns(shape: Tuple[int, int], elig: np.ndarray, ctx_zc: np.ndarray) -> np.ndarray:
+    """Run-mode flag per full-stripe column, from scan-ordered arrays.
+
+    A column of a full stripe is run-length coded in the cleanup pass
+    when all four of its samples are eligible with zero-coding context 0.
+    """
+    n_full = 4 * (shape[0] // 4) * shape[1]
+    quiet = elig[:n_full] & (ctx_zc[:n_full] == 0)
+    return quiet.reshape(-1, 4).all(axis=1)
+
+
+# Event slots per sample: at most four (a run head codes RUN, two UNIFORM
+# bits and a sign; any other sample its ZC decision and maybe a sign).
+_SLOTS = np.arange(4)
 
 
 class CodeBlockEncoder:
-    """Encodes one code-block; see :func:`encode_codeblock`."""
+    """Encodes one code-block; see :func:`encode_codeblock`.
+
+    Each pass is a decision stream: with contexts frozen at the pass
+    start, the pass's full ``(decision, context)`` sequence is built with
+    whole-array NumPy in scan order and handed to one
+    :meth:`MQEncoder.encode_many` call.
+    """
 
     def __init__(self, coeffs: np.ndarray, orient: str) -> None:
         coeffs = np.asarray(coeffs)
@@ -113,7 +141,9 @@ class CodeBlockEncoder:
         self.neg = coeffs < 0
         maxmag = int(self.mag.max()) if self.mag.size else 0
         self.n_planes = maxmag.bit_length()
-        self._rs, self._cs = _scan_order(*self.shape)
+        self._scan = _scan_order(*self.shape)
+        self._signs = np.where(self.neg, -1, 1)
+        self._neg_scan = self.neg.ravel()[self._scan]
 
     def encode(self) -> EncodedBlock:
         """Run all passes over all planes; returns the embedded stream."""
@@ -122,36 +152,34 @@ class CodeBlockEncoder:
         enc = MQEncoder(N_CONTEXTS)
         sig = np.zeros(self.shape, dtype=bool)
         refined = np.zeros(self.shape, dtype=bool)
-        signs = np.where(self.neg, -1, 1).astype(np.int64)
+        coded = np.zeros(self.shape, dtype=bool)
         passes: List[CodingPass] = []
 
         for plane in range(self.n_planes - 1, -1, -1):
-            bits = ((self.mag >> plane) & 1).astype(np.int64)
-            sig_at_plane_start = sig.copy()
-            coded = np.zeros(self.shape, dtype=bool)
-
+            bits = (self.mag >> plane) & 1
+            sig_start = sig
             if plane != self.n_planes - 1:
-                sig, n_dec = self._sig_pass(enc, sig, signs, bits, coded)
-                passes.append(self._mk_pass(enc, plane, "sig", sig_at_plane_start, sig, n_dec, plane))
-                prev_sig = sig.copy()
-                n_dec = self._ref_pass(enc, sig_at_plane_start, sig, refined, coded, bits)
+                ctx_zc = zero_coding_context(sig, self.orient)
+                coded = ~sig & (ctx_zc > 0)
+                n_dec = self._zc_pass(enc, sig, coded, bits, ctx_zc, run_mode=False)
+                new = coded & (bits > 0)
                 passes.append(
-                    CodingPass(
-                        plane,
-                        "ref",
-                        enc.tell_bytes(),
-                        self._ref_distortion(sig_at_plane_start, coded, plane),
-                        n_dec,
-                    )
+                    CodingPass(plane, "sig", enc.tell_bytes(), self._newly_sig_distortion(new, plane), n_dec)
                 )
-                sig_before_clean = prev_sig
-            else:
-                sig_before_clean = sig
-
-            sig, n_dec = self._cleanup_pass(enc, sig, signs, bits, coded)
+                sig = sig | new
+                n_dec = self._ref_pass(enc, sig_start, bits, refinement_context(sig, refined))
+                refined |= sig_start
+                passes.append(
+                    CodingPass(plane, "ref", enc.tell_bytes(), self._ref_distortion(sig_start, plane), n_dec)
+                )
+            # Cleanup codes every sample neither pass of this plane coded.
+            elig = ~(sig_start | coded)
+            n_dec = self._zc_pass(enc, sig, elig, bits, zero_coding_context(sig, self.orient), run_mode=True)
+            new = elig & (bits > 0)
             passes.append(
-                self._mk_pass(enc, plane, "clean", sig_before_clean, sig, n_dec, plane)
+                CodingPass(plane, "clean", enc.tell_bytes(), self._newly_sig_distortion(new, plane), n_dec)
             )
+            sig = sig | new
         enc.flush()
         data = enc.get_bytes()
         # Clamp pass rates to the final segment length.
@@ -161,21 +189,7 @@ class CodeBlockEncoder:
         ]
         return EncodedBlock(data, passes, self.n_planes, self.shape, self.orient)
 
-    # -- pass implementations ------------------------------------------------
-
-    def _mk_pass(
-        self,
-        enc: MQEncoder,
-        plane: int,
-        pass_type: str,
-        sig_before: np.ndarray,
-        sig_after: np.ndarray,
-        n_dec: int,
-        p: int,
-    ) -> CodingPass:
-        new = sig_after & ~sig_before
-        dist = self._newly_sig_distortion(new, p)
-        return CodingPass(plane, pass_type, enc.tell_bytes(), dist, n_dec)
+    # -- distortion bookkeeping ---------------------------------------------
 
     def _newly_sig_distortion(self, new: np.ndarray, plane: int) -> float:
         """Squared-error reduction from samples becoming significant."""
@@ -186,9 +200,8 @@ class CodeBlockEncoder:
         rec = base + 0.5 * (1 << plane)
         return float(np.sum(m * m - (m - rec) ** 2))
 
-    def _ref_distortion(self, sig_start: np.ndarray, coded: np.ndarray, plane: int) -> float:
+    def _ref_distortion(self, refined_now: np.ndarray, plane: int) -> float:
         """Squared-error reduction from refining known-significant samples."""
-        refined_now = sig_start & coded
         if not refined_now.any():
             return 0.0
         m = self.mag[refined_now].astype(np.float64)
@@ -198,151 +211,77 @@ class CodeBlockEncoder:
         rec_after = np.floor(m / step_lo) * step_lo + 0.5 * step_lo
         return float(np.sum((m - rec_before) ** 2 - (m - rec_after) ** 2))
 
-    def _sig_pass(
+    # -- passes as decision streams -------------------------------------------
+
+    def _zc_pass(
         self,
         enc: MQEncoder,
         sig: np.ndarray,
-        signs: np.ndarray,
-        bits: np.ndarray,
-        coded: np.ndarray,
-    ) -> Tuple[np.ndarray, int]:
-        """Significance propagation: insignificant samples with a
-        significant neighborhood."""
-        ctx_zc = zero_coding_context(sig, self.orient)
-        h, v, d = _neighbor_any(sig)
-        elig = ~sig & ((h | v | d) > 0)
-        sc_ctx, sc_xor = sign_context_and_xor(sig, signs)
-        new_sig = self._code_samples(enc, elig, ctx_zc, sc_ctx, sc_xor, bits)
-        coded |= elig
-        n_dec = int(elig.sum() + (elig & (bits > 0)).sum())
-        return sig | new_sig, n_dec
-
-    def _ref_pass(
-        self,
-        enc: MQEncoder,
-        sig_start: np.ndarray,
-        sig: np.ndarray,
-        refined: np.ndarray,
-        coded: np.ndarray,
-        bits: np.ndarray,
-    ) -> int:
-        """Magnitude refinement of samples significant before this plane."""
-        elig = sig_start & ~coded
-        if not elig.any():
-            return 0
-        ctx_mr = refinement_context(sig, refined)
-        rs, cs = self._rs, self._cs
-        flat = elig[rs, cs]
-        sel = np.nonzero(flat)[0]
-        ctxs = ctx_mr[rs[sel], cs[sel]].tolist()
-        ds = bits[rs[sel], cs[sel]].tolist()
-        encode = enc.encode
-        for dval, cval in zip(ds, ctxs):
-            encode(dval, cval)
-        refined |= elig
-        coded |= elig
-        return len(sel)
-
-    def _cleanup_pass(
-        self,
-        enc: MQEncoder,
-        sig: np.ndarray,
-        signs: np.ndarray,
-        bits: np.ndarray,
-        coded: np.ndarray,
-    ) -> Tuple[np.ndarray, int]:
-        """Cleanup: everything not yet coded this plane, with run-length
-        shortcuts on all-quiet stripe columns."""
-        height, width = self.shape
-        ctx_zc = zero_coding_context(sig, self.orient)
-        sc_ctx, sc_xor = sign_context_and_xor(sig, signs)
-        elig = ~sig & ~coded
-        quiet = elig & (ctx_zc == 0)
-        neg = self.neg
-        new_sig = np.zeros(self.shape, dtype=bool)
-        n_dec = 0
-        encode = enc.encode
-        for stripe in range(0, height, 4):
-            stop = min(stripe + 4, height)
-            full = stop - stripe == 4
-            for c in range(width):
-                col_quiet = full and bool(quiet[stripe:stop, c].all())
-                if col_quiet:
-                    col_bits = bits[stripe:stop, c]
-                    if not col_bits.any():
-                        encode(0, CTX_RUN)
-                        n_dec += 1
-                        continue
-                    encode(1, CTX_RUN)
-                    k = int(np.argmax(col_bits))
-                    encode((k >> 1) & 1, CTX_UNIFORM)
-                    encode(k & 1, CTX_UNIFORM)
-                    n_dec += 3
-                    r = stripe + k
-                    xbit = int(neg[r, c]) ^ int(sc_xor[r, c])
-                    encode(xbit, int(sc_ctx[r, c]))
-                    n_dec += 1
-                    new_sig[r, c] = True
-                    start = k + 1
-                else:
-                    start = 0
-                for rr in range(stripe + start, stop):
-                    if not elig[rr, c] or new_sig[rr, c]:
-                        continue
-                    d = int(bits[rr, c])
-                    encode(d, int(ctx_zc[rr, c]))
-                    n_dec += 1
-                    if d:
-                        xbit = int(neg[rr, c]) ^ int(sc_xor[rr, c])
-                        encode(xbit, int(sc_ctx[rr, c]))
-                        n_dec += 1
-                        new_sig[rr, c] = True
-        return sig | new_sig, n_dec
-
-    def _code_samples(
-        self,
-        enc: MQEncoder,
         elig: np.ndarray,
-        ctx_zc: np.ndarray,
-        sc_ctx: np.ndarray,
-        sc_xor: np.ndarray,
         bits: np.ndarray,
-    ) -> np.ndarray:
-        """Zero-code + sign-code eligible samples in scan order."""
-        new_sig = np.zeros(self.shape, dtype=bool)
-        if not elig.any():
-            return new_sig
-        rs, cs = self._rs, self._cs
-        flat = elig[rs, cs]
-        sel = np.nonzero(flat)[0]
-        rr = rs[sel]
-        cc = cs[sel]
-        ds = bits[rr, cc].tolist()
-        zctx = ctx_zc[rr, cc].tolist()
-        sctx = sc_ctx[rr, cc].tolist()
-        sxor = sc_xor[rr, cc].tolist()
-        nbits = (self.neg[rr, cc].astype(np.int64)).tolist()
-        encode = enc.encode
-        rlist = rr.tolist()
-        clist = cc.tolist()
-        for i in range(len(sel)):
-            d = ds[i]
-            encode(d, zctx[i])
-            if d:
-                encode(nbits[i] ^ sxor[i], sctx[i])
-                new_sig[rlist[i], clist[i]] = True
-        return new_sig
+        ctx_zc: np.ndarray,
+        run_mode: bool,
+    ) -> int:
+        """Significance propagation or cleanup: zero-code the ``elig``
+        samples in scan order, sign-coding each that becomes significant;
+        in the cleanup pass (``run_mode``) quiet full-stripe columns are
+        run-length coded.  Returns the number of decisions coded."""
+        scan = self._scan
+        sc_ctx, sc_xor = sign_context_and_xor(sig, self._signs)
+        e = elig.ravel()[scan]
+        b = bits.ravel()[scan]
+        zc = ctx_zc.ravel()[scan]
+        sc = sc_ctx.ravel()[scan]
+        sb = self._neg_scan ^ sc_xor.ravel()[scan]
+        # Per sample: its ZC decision, then its sign when significant.
+        count = e * (1 + b)
+        dec = np.zeros((len(scan), 4), dtype=np.int64)
+        ctx = np.zeros((len(scan), 4), dtype=np.int64)
+        dec[:, 0] = b
+        dec[:, 1] = sb
+        ctx[:, 0] = zc
+        ctx[:, 1] = sc
+        if run_mode:
+            run = _run_columns(self.shape, e, zc)
+            if run.any():
+                col = np.flatnonzero(run)
+                b4 = b[: 4 * len(run)].reshape(-1, 4)[col]
+                hit = b4.any(axis=1).astype(np.int64)
+                k = b4.argmax(axis=1)
+                # The column's head (RUN, then on a hit the row k as two
+                # UNIFORM bits and the sign of row k) covers rows 0..k,
+                # or all four rows without a hit; rows after k code as usual.
+                covered = (np.arange(4) <= k[:, None]) | (hit[:, None] == 0)
+                count4 = count[: 4 * len(run)].reshape(-1, 4)
+                count4[col] = np.where(covered, 0, count4[col])
+                head = 4 * col
+                row_k = head + k
+                count[head] = 1 + 3 * hit
+                dec[head] = np.stack((hit, k >> 1, k & 1, sb[row_k]), axis=1)
+                ctx[head, 0] = CTX_RUN
+                ctx[head, 1:3] = CTX_UNIFORM
+                ctx[head, 3] = sc[row_k]
+        take = _SLOTS < count[:, None]
+        decisions = dec[take].tolist()
+        enc.encode_many(decisions, ctx[take].tolist())
+        return len(decisions)
 
-
-def _neighbor_any(sig: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """H/V/D neighbor counts (thin wrapper to keep t1 self-contained)."""
-    from .tables import neighbor_counts
-
-    return neighbor_counts(sig)
+    def _ref_pass(self, enc: MQEncoder, elig: np.ndarray, bits: np.ndarray, ctx_mr: np.ndarray) -> int:
+        """Magnitude refinement of the samples significant before this
+        plane.  Returns the number of decisions coded."""
+        sel = self._scan[elig.ravel()[self._scan]]
+        enc.encode_many(bits.ravel()[sel].tolist(), ctx_mr.ravel()[sel].tolist())
+        return len(sel)
 
 
 class CodeBlockDecoder:
-    """Decodes (possibly truncated) embedded streams; mirror of the encoder."""
+    """Decodes (possibly truncated) embedded streams; mirror of the encoder.
+
+    Decisions stay sequential, but each pass hoists its frozen state --
+    contexts, sign XOR bits, the visiting order and the run-mode columns
+    -- into Python lists once, and writes the samples it finds
+    significant back into the block arrays once at the end of the pass.
+    """
 
     def __init__(
         self,
@@ -357,7 +296,7 @@ class CodeBlockDecoder:
         self.orient = orient
         self.n_planes = n_planes
         self.n_passes = n_passes
-        self._rs, self._cs = _scan_order(*self.shape)
+        self._scan = _scan_order(*self.shape)
 
     def decode(self) -> Tuple[np.ndarray, int]:
         """Returns ``(values, last_plane)``.
@@ -367,7 +306,6 @@ class CodeBlockDecoder:
         (0 when every pass was decoded), which the dequantizer uses for
         midpoint reconstruction.
         """
-        height, width = self.shape
         mag = np.zeros(self.shape, dtype=np.int64)
         neg = np.zeros(self.shape, dtype=bool)
         if self.n_planes == 0:
@@ -375,107 +313,84 @@ class CodeBlockDecoder:
         dec = MQDecoder(self.data, N_CONTEXTS)
         sig = np.zeros(self.shape, dtype=bool)
         refined = np.zeros(self.shape, dtype=bool)
+        coded = np.zeros(self.shape, dtype=bool)
         budget = self.n_passes if self.n_passes is not None else 3 * self.n_planes
         done = 0
         last_plane = self.n_planes - 1
         for plane in range(self.n_planes - 1, -1, -1):
             if done >= budget:
                 break
-            sig_at_plane_start = sig.copy()
-            coded = np.zeros(self.shape, dtype=bool)
+            sig_start = sig
             if plane != self.n_planes - 1:
-                sig = self._sig_pass(dec, sig, mag, neg, coded, plane)
+                ctx_zc = zero_coding_context(sig, self.orient)
+                coded = ~sig & (ctx_zc > 0)
+                sig = sig | self._zc_pass(dec, sig, coded, ctx_zc, mag, neg, plane, run_mode=False)
                 done += 1
                 last_plane = plane
                 if done >= budget:
                     break
-                self._ref_pass(dec, sig_at_plane_start, sig, refined, coded, mag, plane)
+                self._ref_pass(dec, sig_start, refinement_context(sig, refined), mag, plane)
+                refined |= sig_start
                 done += 1
                 if done >= budget:
                     break
-            sig = self._cleanup_pass(dec, sig, mag, neg, coded, plane)
+            elig = ~(sig_start | coded)
+            ctx_zc = zero_coding_context(sig, self.orient)
+            sig = sig | self._zc_pass(dec, sig, elig, ctx_zc, mag, neg, plane, run_mode=True)
             done += 1
             last_plane = plane
         values = np.where(neg, -mag, mag)
         return values, last_plane
 
-    def _signs_array(self, neg: np.ndarray) -> np.ndarray:
-        return np.where(neg, -1, 1).astype(np.int64)
-
-    def _sig_pass(self, dec, sig, mag, neg, coded, plane):
-        ctx_zc = zero_coding_context(sig, self.orient)
-        h, v, d = _neighbor_any(sig)
-        elig = ~sig & ((h | v | d) > 0)
-        sc_ctx, sc_xor = sign_context_and_xor(sig, self._signs_array(neg))
-        new_sig = np.zeros(self.shape, dtype=bool)
-        if elig.any():
-            rs, cs = self._rs, self._cs
-            flat = elig[rs, cs]
-            sel = np.nonzero(flat)[0]
-            rr = rs[sel].tolist()
-            cc = cs[sel].tolist()
-            decode = dec.decode
-            for i in range(len(rr)):
-                r, c = rr[i], cc[i]
-                if decode(int(ctx_zc[r, c])):
-                    s = decode(int(sc_ctx[r, c])) ^ int(sc_xor[r, c])
-                    neg[r, c] = bool(s)
-                    mag[r, c] |= 1 << plane
-                    new_sig[r, c] = True
-        coded |= elig
-        return sig | new_sig
-
-    def _ref_pass(self, dec, sig_start, sig, refined, coded, mag, plane):
-        elig = sig_start & ~coded
-        if elig.any():
-            ctx_mr = refinement_context(sig, refined)
-            rs, cs = self._rs, self._cs
-            flat = elig[rs, cs]
-            sel = np.nonzero(flat)[0]
-            rr = rs[sel].tolist()
-            cc = cs[sel].tolist()
-            decode = dec.decode
-            for i in range(len(rr)):
-                r, c = rr[i], cc[i]
-                if decode(int(ctx_mr[r, c])):
-                    mag[r, c] |= 1 << plane
-        refined |= elig
-        coded |= elig
-
-    def _cleanup_pass(self, dec, sig, mag, neg, coded, plane):
-        height, width = self.shape
-        ctx_zc = zero_coding_context(sig, self.orient)
-        sc_ctx, sc_xor = sign_context_and_xor(sig, self._signs_array(neg))
-        elig = ~sig & ~coded
-        quiet = elig & (ctx_zc == 0)
-        new_sig = np.zeros(self.shape, dtype=bool)
+    def _zc_pass(self, dec, sig, elig, ctx_zc, mag, neg, plane, run_mode):
+        """Mirror of :meth:`CodeBlockEncoder._zc_pass`; returns the mask of
+        samples that became significant."""
+        scan = self._scan
+        sc_ctx, sc_xor = sign_context_and_xor(sig, np.where(neg, -1, 1))
+        e = elig.ravel()[scan]
+        zc = ctx_zc.ravel()[scan]
+        # Visit every eligible sample; a run-mode column is visited once,
+        # at its first row, and decodes its own rows.
+        visit = e.copy()
+        is_run = np.zeros(len(scan), dtype=bool)
+        if run_mode:
+            run = _run_columns(self.shape, e, zc)
+            visit[: 4 * len(run)].reshape(-1, 4)[run] = False
+            is_run[: 4 * len(run) : 4] = run
+            visit |= is_run
+        seq = np.flatnonzero(visit)
+        zl = zc.tolist()
+        sl = sc_ctx.ravel()[scan].tolist()
+        xl = sc_xor.ravel()[scan].tolist()
         decode = dec.decode
-        for stripe in range(0, height, 4):
-            stop = min(stripe + 4, height)
-            full = stop - stripe == 4
-            for c in range(width):
-                col_quiet = full and bool(quiet[stripe:stop, c].all())
-                if col_quiet:
-                    if not decode(CTX_RUN):
-                        continue
-                    k = (decode(CTX_UNIFORM) << 1) | decode(CTX_UNIFORM)
-                    r = stripe + k
-                    s = decode(int(sc_ctx[r, c])) ^ int(sc_xor[r, c])
-                    neg[r, c] = bool(s)
-                    mag[r, c] |= 1 << plane
-                    new_sig[r, c] = True
-                    start = k + 1
-                else:
-                    start = 0
-                for rr in range(stripe + start, stop):
-                    if not elig[rr, c] or new_sig[rr, c]:
-                        continue
-                    if decode(int(ctx_zc[rr, c])):
-                        s = decode(int(sc_ctx[rr, c])) ^ int(sc_xor[rr, c])
-                        neg[rr, c] = bool(s)
-                        mag[rr, c] |= 1 << plane
-                        new_sig[rr, c] = True
-        return sig | new_sig
+        hits: List[int] = []
+        signs: List[int] = []
+        for s, run_col in zip(seq.tolist(), is_run[seq].tolist()):
+            if run_col:
+                if not decode(CTX_RUN):
+                    continue
+                t = s + ((decode(CTX_UNIFORM) << 1) | decode(CTX_UNIFORM))
+                hits.append(t)
+                signs.append(decode(sl[t]) ^ xl[t])
+                for t in range(t + 1, s + 4):
+                    if decode(zl[t]):
+                        hits.append(t)
+                        signs.append(decode(sl[t]) ^ xl[t])
+            elif decode(zl[s]):
+                hits.append(s)
+                signs.append(decode(sl[s]) ^ xl[s])
+        flat = scan[hits]
+        mag.reshape(-1)[flat] |= 1 << plane
+        neg.reshape(-1)[flat] = signs
+        new_sig = np.zeros(self.shape, dtype=bool)
+        new_sig.reshape(-1)[flat] = True
+        return new_sig
+
+    def _ref_pass(self, dec, elig, ctx_mr, mag, plane):
+        sel = self._scan[elig.ravel()[self._scan]]
+        decode = dec.decode
+        ones = [decode(c) for c in ctx_mr.ravel()[sel].tolist()]
+        mag.reshape(-1)[sel[np.array(ones, dtype=bool)]] |= 1 << plane
 
 
 def encode_codeblock(coeffs: np.ndarray, orient: str = "LL") -> EncodedBlock:

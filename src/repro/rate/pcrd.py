@@ -11,6 +11,9 @@ synthesis gain), the allocator:
    every hull vertex whose distortion-per-byte slope is ``>= lambda``;
 3. bisects ``lambda`` so the total chosen rate meets the byte budget.
 
+Each allocation call computes every block's hull once; the bisection
+steps only compare ``lambda`` against the precomputed slopes.
+
 Multi-layer allocation runs step 2/3 once per layer with decreasing
 budgets, producing the per-layer pass splits tier-2 packs into packets.
 """
@@ -18,8 +21,8 @@ budgets, producing the per-layer pass splits tier-2 packs into packets.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import List, Sequence, Tuple
 
 __all__ = [
     "BlockRateInfo",
@@ -91,7 +94,11 @@ def convex_hull_points(rates: Sequence[float], dists: Sequence[float]) -> List[i
     return hull
 
 
-def _hull_slopes(info: BlockRateInfo) -> Tuple[List[int], List[float]]:
+_Hull = Tuple[List[int], List[float]]
+
+
+def _hull_slopes(info: BlockRateInfo) -> _Hull:
+    """Hull vertices of one block and the slope into each of them."""
     hull = convex_hull_points(info.rates, info.dists)
     slopes: List[float] = []
     r_prev = d_prev = 0.0
@@ -103,11 +110,10 @@ def _hull_slopes(info: BlockRateInfo) -> Tuple[List[int], List[float]]:
     return hull, slopes
 
 
-def _passes_for_lambda(info: BlockRateInfo, lam: float) -> int:
+def _passes_for_lambda(hull: _Hull, lam: float) -> int:
     """Number of passes kept at multiplier ``lam`` (0 = drop block)."""
-    hull, slopes = _hull_slopes(info)
     chosen = 0
-    for k, slope in zip(hull, slopes):
+    for k, slope in zip(*hull):
         if slope >= lam:
             chosen = k + 1
         else:
@@ -115,13 +121,43 @@ def _passes_for_lambda(info: BlockRateInfo, lam: float) -> int:
     return chosen
 
 
-def _total_rate(blocks: Sequence[BlockRateInfo], lam: float) -> float:
+def _total_rate(blocks: Sequence[BlockRateInfo], hulls: Sequence[_Hull], lam: float) -> float:
     total = 0.0
-    for info in blocks:
-        n = _passes_for_lambda(info, lam)
+    for info, hull in zip(blocks, hulls):
+        n = _passes_for_lambda(hull, lam)
         if n:
             total += info.rates[n - 1]
     return total
+
+
+def _lambda_for_budget(
+    blocks: Sequence[BlockRateInfo], hulls: Sequence[_Hull], budget_bytes: float
+) -> float:
+    if budget_bytes <= 0:
+        return math.inf
+    if _total_rate(blocks, hulls, 0.0) <= budget_bytes:
+        return 0.0  # everything fits
+    lo, hi = 0.0, 1.0
+    while _total_rate(blocks, hulls, hi) > budget_bytes:
+        hi *= 2.0
+        if hi > 1e18:
+            return math.inf
+    for _ in range(80):
+        mid = 0.5 * (lo + hi)
+        if _total_rate(blocks, hulls, mid) > budget_bytes:
+            lo = mid
+        else:
+            hi = mid
+        if hi - lo < 1e-12 * max(1.0, hi):
+            break
+    return hi
+
+
+def _allocate(
+    blocks: Sequence[BlockRateInfo], hulls: Sequence[_Hull], budget_bytes: float
+) -> List[int]:
+    lam = _lambda_for_budget(blocks, hulls, budget_bytes)
+    return [_passes_for_lambda(hull, lam) for hull in hulls]
 
 
 def lambda_for_budget(
@@ -132,32 +168,14 @@ def lambda_for_budget(
     Bisection over the slope range; deterministic and monotone (rate is
     non-increasing in ``lambda``).
     """
-    if budget_bytes <= 0:
-        return math.inf
-    if _total_rate(blocks, 0.0) <= budget_bytes:
-        return 0.0  # everything fits
-    lo, hi = 0.0, 1.0
-    while _total_rate(blocks, hi) > budget_bytes:
-        hi *= 2.0
-        if hi > 1e18:
-            return math.inf
-    for _ in range(80):
-        mid = 0.5 * (lo + hi)
-        if _total_rate(blocks, mid) > budget_bytes:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo < 1e-12 * max(1.0, hi):
-            break
-    return hi
+    return _lambda_for_budget(blocks, [_hull_slopes(b) for b in blocks], budget_bytes)
 
 
 def allocate_truncation(
     blocks: Sequence[BlockRateInfo], budget_bytes: float
 ) -> List[int]:
     """Single-layer allocation: passes kept per block under the budget."""
-    lam = lambda_for_budget(blocks, budget_bytes)
-    return [_passes_for_lambda(info, lam) for info in blocks]
+    return _allocate(blocks, [_hull_slopes(b) for b in blocks], budget_bytes)
 
 
 def allocate_layers(
@@ -174,10 +192,11 @@ def allocate_layers(
         b2 <= b1 for b1, b2 in zip(layer_budgets, list(layer_budgets)[1:])
     ):
         raise ValueError("layer budgets must be strictly increasing")
+    hulls = [_hull_slopes(b) for b in blocks]
     out: List[List[int]] = []
     floor = [0] * len(blocks)
     for budget in layer_budgets:
-        passes = allocate_truncation(blocks, budget)
+        passes = _allocate(blocks, hulls, budget)
         passes = [max(p, f) for p, f in zip(passes, floor)]
         out.append(passes)
         floor = passes

@@ -47,6 +47,60 @@ class TestRoundTrip:
         assert _roundtrip(decisions, contexts, 19) == decisions
 
 
+class TestEncodeMany:
+    @given(st.data())
+    @settings(max_examples=40)
+    def test_chunking_does_not_change_bytes_or_tell(self, data):
+        n_ctx = data.draw(st.integers(1, 19))
+        n = data.draw(st.integers(0, 600))
+        decisions = data.draw(st.lists(st.integers(0, 1), min_size=n, max_size=n))
+        contexts = data.draw(
+            st.lists(st.integers(0, n_ctx - 1), min_size=n, max_size=n)
+        )
+        cuts = sorted(data.draw(st.lists(st.integers(0, n), max_size=8)))
+        whole = MQEncoder(n_ctx)
+        whole.encode_many(decisions, contexts)
+        tells_one = {}
+        for cut in sorted(set(cuts) | {n}):
+            one = MQEncoder(n_ctx)
+            one.encode_many(decisions[:cut], contexts[:cut])
+            tells_one[cut] = one.tell_bytes()
+        split = MQEncoder(n_ctx)
+        prev = 0
+        for cut in cuts + [n]:
+            split.encode_many(decisions[prev:cut], contexts[prev:cut])
+            assert split.tell_bytes() == tells_one[cut]
+            prev = cut
+        assert split.tell_bytes() == whole.tell_bytes()
+        whole.flush()
+        split.flush()
+        assert split.get_bytes() == whole.get_bytes()
+        dec = MQDecoder(split.get_bytes(), n_ctx)
+        assert [dec.decode(c) for c in contexts] == decisions
+
+    def test_encode_is_a_one_decision_chunk(self):
+        rng = np.random.default_rng(7)
+        decisions = (rng.random(500) < 0.3).astype(int).tolist()
+        contexts = rng.integers(0, 5, size=500).tolist()
+        single = MQEncoder(5)
+        for d, c in zip(decisions, contexts):
+            single.encode(d, c)
+        many = MQEncoder(5)
+        many.encode_many(decisions, contexts)
+        single.flush()
+        many.flush()
+        assert single.get_bytes() == many.get_bytes()
+
+    def test_encode_many_after_flush_rejected(self):
+        enc = MQEncoder(1)
+        enc.encode_many([0, 1], [0, 0])
+        enc.flush()
+        with pytest.raises(RuntimeError):
+            enc.encode_many([1], [0])
+        with pytest.raises(RuntimeError):
+            enc.encode_many([], [])
+
+
 class TestEfficiency:
     @pytest.mark.parametrize(
         "bias,entropy",

@@ -1,5 +1,7 @@
 """PCRD rate allocation: hull properties and budget fitting."""
 
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -104,9 +106,9 @@ class TestBudgetFitting:
 
 
 def _passes(info, lam):
-    from repro.rate.pcrd import _passes_for_lambda
+    from repro.rate.pcrd import _hull_slopes, _passes_for_lambda
 
-    return _passes_for_lambda(info, lam)
+    return _passes_for_lambda(_hull_slopes(info), lam)
 
 
 class TestLayers:
@@ -130,3 +132,43 @@ class TestLayers:
     def test_mismatched_lengths_rejected(self):
         with pytest.raises(ValueError):
             BlockRateInfo(0, [1.0], [1.0, 2.0])
+
+
+class TestHullsOncePerCall:
+    @staticmethod
+    def _seeded_allocations():
+        out = []
+        for seed in range(20):
+            blocks = _random_blocks(np.random.default_rng(100 + seed), 30)
+            total = sum(b.rates[-1] for b in blocks)
+            budgets = [total * f for f in (0.05, 0.2, 0.5, 0.9)]
+            out.append(
+                (allocate_layers(blocks, budgets), allocate_truncation(blocks, total * 0.3))
+            )
+        return out
+
+    def test_seeded_allocations_unchanged(self):
+        # Pinned digest of the allocations for these seeds: computing the
+        # hulls once per call must not change any allocation.
+        digest = hashlib.sha256(repr(self._seeded_allocations()).encode()).hexdigest()
+        assert digest == "e21d24296a82403c650096fa02dd39275a755f44cd3adfaebf0da6dad9ca498b"
+
+    @pytest.mark.parametrize("layered", [False, True])
+    def test_one_hull_per_block_per_call(self, monkeypatch, layered):
+        from repro.rate import pcrd
+
+        calls = []
+        real = pcrd.convex_hull_points
+
+        def counting(rates, dists):
+            calls.append(len(rates))
+            return real(rates, dists)
+
+        monkeypatch.setattr(pcrd, "convex_hull_points", counting)
+        blocks = _random_blocks(np.random.default_rng(8), 12)
+        total = sum(b.rates[-1] for b in blocks)
+        if layered:
+            allocate_layers(blocks, [total * 0.1, total * 0.4, total * 0.8])
+        else:
+            allocate_truncation(blocks, total * 0.4)
+        assert len(calls) == len(blocks)

@@ -76,6 +76,85 @@ class TestTables:
         assert np.all(refinement_context(sig, refined) == 16)
 
 
+def _brute_counts(sig, r, c):
+    """(H, V, D) significant-neighbor counts of one sample, outside = 0."""
+    rows, cols = sig.shape
+
+    def at(y, x):
+        return int(0 <= y < rows and 0 <= x < cols and bool(sig[y, x]))
+
+    h = at(r, c - 1) + at(r, c + 1)
+    v = at(r - 1, c) + at(r + 1, c)
+    d = at(r - 1, c - 1) + at(r - 1, c + 1) + at(r + 1, c - 1) + at(r + 1, c + 1)
+    return h, v, d
+
+
+def _brute_zc(h, v, d, orient):
+    """T.800 Table D.1, written out case by case."""
+    if orient == "HL":
+        h, v = v, h
+    if orient in ("LL", "LH", "HL"):
+        if h == 2:
+            return 8
+        if h == 1:
+            return 7 if v >= 1 else (6 if d >= 1 else 5)
+        if v == 2:
+            return 4
+        if v == 1:
+            return 3
+        return 2 if d >= 2 else d
+    hv = h + v
+    if d >= 3:
+        return 8
+    if d == 2:
+        return 7 if hv >= 1 else 6
+    if d == 1:
+        return 5 if hv >= 2 else (4 if hv == 1 else 3)
+    return 2 if hv >= 2 else hv
+
+
+def _brute_sign(sig, signs, r, c):
+    """T.800 Table D.3: (context, XOR bit) from neighbor sign contributions."""
+    rows, cols = sig.shape
+
+    def chi(y, x):
+        if 0 <= y < rows and 0 <= x < cols and sig[y, x]:
+            return -1 if signs[y, x] < 0 else 1
+        return 0
+
+    h = max(-1, min(1, chi(r, c - 1) + chi(r, c + 1)))
+    v = max(-1, min(1, chi(r - 1, c) + chi(r + 1, c)))
+    table = {
+        (1, 1): (13, 0), (1, 0): (12, 0), (1, -1): (11, 0),
+        (0, 1): (10, 0), (0, 0): (9, 0), (0, -1): (10, 1),
+        (-1, 1): (11, 1), (-1, 0): (12, 1), (-1, -1): (13, 1),
+    }
+    return table[(h, v)]
+
+
+class TestTablesAgainstBruteForce:
+    @given(st.data())
+    @settings(max_examples=40)
+    def test_counts_zc_and_sign_match_per_sample_tables(self, data):
+        h = data.draw(st.integers(1, 9))
+        w = data.draw(st.integers(1, 9))
+        seed = data.draw(st.integers(0, 2**31))
+        density = data.draw(st.floats(0.0, 1.0))
+        rng = np.random.default_rng(seed)
+        sig = rng.random((h, w)) < density
+        signs = np.where(rng.random((h, w)) < 0.5, -1, 1)
+        counts = neighbor_counts(sig)
+        zc = {o: zero_coding_context(sig, o) for o in ("LL", "LH", "HL", "HH")}
+        ctx, xor = sign_context_and_xor(sig, signs)
+        for r in range(h):
+            for c in range(w):
+                hvd = _brute_counts(sig, r, c)
+                assert tuple(int(a[r, c]) for a in counts) == hvd
+                for orient, table in zc.items():
+                    assert table[r, c] == _brute_zc(*hvd, orient)
+                assert (ctx[r, c], xor[r, c]) == _brute_sign(sig, signs, r, c)
+
+
 class TestRoundTrip:
     @given(st.data())
     @settings(max_examples=20)
