@@ -1,5 +1,5 @@
-"""Full-scale extension study: serial/threads/processes execution
-backends under the differential contract -- byte-identical codestreams,
+"""Full-scale extension study: serial/processes execution backends
+under the differential contract -- byte-identical codestreams,
 bit-exact decodes (see the experiment module's docstring)."""
 
 from repro.experiments import ext_backends as _mod

@@ -70,7 +70,7 @@ def test_bench_detector_is_opt_in(benchmark):
     params = CodecParams(levels=3, cb_size=32, base_step=1 / 64,
                          target_bpp=(1.0,))
 
-    with get_backend("threads", 2) as bk:
+    with get_backend("serial", 2) as bk:
         t0 = time.perf_counter()
         plain = encode_image(img, params, backend=bk, n_workers=2)
         plain_s = time.perf_counter() - t0
@@ -81,7 +81,7 @@ def test_bench_detector_is_opt_in(benchmark):
         checked_s = time.perf_counter() - t0
 
     def undetected():
-        with get_backend("threads", 2) as fresh:
+        with get_backend("serial", 2) as fresh:
             return encode_image(img, params, backend=fresh, n_workers=2)
 
     benchmark.pedantic(undetected, rounds=3, iterations=1)

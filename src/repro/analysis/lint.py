@@ -18,7 +18,7 @@ otherwise only catch *dynamically* (and only on sampled shapes):
     Worker kernels must not write module state (``global``/``nonlocal``
     or mutation of module-level bindings): a kernel whose effect
     depends on in-process shared state cannot be bit-identical across
-    the serial/threads/processes backends.
+    the serial/processes backends.
 ``pool-lifecycle``
     Every backend/pool acquisition must be released on all exit paths:
     a ``with`` statement, a ``try``/``finally`` that closes it, or an
@@ -364,7 +364,7 @@ class PoolLifecycleRule(Rule):
     ACQUIRERS = {
         "get_backend", "resolve_backend", "supervised",
         "ThreadPoolExecutor", "ProcessPoolExecutor", "Pool",
-        "ThreadsBackend", "ProcessesBackend", "SupervisedBackend",
+        "ProcessesBackend", "SupervisedBackend",
         "FaultyBackend", "RaceDetectorBackend",
     }
     _CLOSERS = {"close", "shutdown", "terminate", "rebuild"}

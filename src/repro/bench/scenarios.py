@@ -2,7 +2,7 @@
 
 The suite measures the *real* codec (not the SMP simulation) across the
 axes the paper varies: operation (encode/decode), execution backend
-(serial/threads/processes), worker count, and image size.  Every
+(serial/processes), worker count, and image size.  Every
 scenario runs with a tracer so the trajectory records stage-level
 medians, per-(op, size) speedup curves against the serial scenario, and
 the observed Amdahl sequential fraction; one extra (untimed) repeat per
@@ -54,7 +54,7 @@ class Scenario:
     """One measured configuration of the real codec."""
 
     op: str  # "encode" | "decode"
-    backend: str  # "serial" | "threads" | "processes"
+    backend: str  # "serial" | "processes"
     workers: int
     side: int  # square synthetic image side, pixels
 
@@ -84,30 +84,24 @@ class Scenario:
 def default_suite(quick: bool = False) -> List[Scenario]:
     """The canonical scenario matrix.
 
-    Full: encode x {serial-1, threads-2, threads-4, processes-2} and
-    decode x {serial-1, threads-4} at two image sizes -- the speedup
-    curve of Fig. 6/8 measured on the real coder.  Quick: one small
-    size, serial + threads encode and serial decode; fast enough for a
-    per-PR CI gate.
+    Full: {encode, decode} x {serial-1, processes-2} at two image
+    sizes -- the speedup curve of Fig. 6/8 measured on the real coder.
+    Quick: one small size, serial + processes encode and serial decode;
+    fast enough for a per-PR CI gate.
     """
     if quick:
         side = 48
         return [
             Scenario("encode", "serial", 1, side),
-            Scenario("encode", "threads", 2, side),
-            Scenario("decode", "serial", 1, side),
-        ]
-    suite: List[Scenario] = []
-    for side in (64, 128):
-        suite += [
-            Scenario("encode", "serial", 1, side),
-            Scenario("encode", "threads", 2, side),
-            Scenario("encode", "threads", 4, side),
             Scenario("encode", "processes", 2, side),
             Scenario("decode", "serial", 1, side),
-            Scenario("decode", "threads", 4, side),
         ]
-    return suite
+    return [
+        Scenario(op, backend, workers, side)
+        for side in (64, 128)
+        for op in ("encode", "decode")
+        for backend, workers in (("serial", 1), ("processes", 2))
+    ]
 
 
 class PoolCache:

@@ -3,9 +3,9 @@
 Usage::
 
     python -m repro encode input.pgm output.rj2k [--lossless] [--bpp 0.5 ...]
-                    [--workers N] [--backend serial|threads|processes]
+                    [--workers N] [--backend serial|processes]
     python -m repro decode output.rj2k roundtrip.pgm [--layer K] [--resilient]
-                    [--workers N] [--backend serial|threads|processes]
+                    [--workers N] [--backend serial|processes]
     python -m repro info   output.rj2k
     python -m repro synth  test.pgm --side 512 [--kind mix] [--seed 0]
     python -m repro faults inject in.rj2k out.rj2k --mode bitflip --rate 1e-4
@@ -14,12 +14,12 @@ Usage::
     python -m repro trace  encode test.pgm --trace-out t.json --format chrome
     python -m repro trace  decode out.rj2k --workers 4 --format table
     python -m repro lint   [paths ...] [--strict] [--baseline FILE]
-    python -m repro races  [--backend threads|processes] [--workers 4]
+    python -m repro races  [--backend serial|processes] [--workers 4]
     python -m repro experiments [--quick] [-o EXPERIMENTS.md]
     python -m repro bench run [--quick] [--dir D] [--label TEXT]
     python -m repro bench compare [--tolerant] [--baseline FILE]
     python -m repro bench report [-o REPORT.md]
-    python -m repro serve run [--host H] [--port P] [--backend threads]
+    python -m repro serve run [--host H] [--port P] [--backend serial]
                     [--workers N] [--pools K] [--queue-depth D]
     python -m repro serve bench --rate 50 --duration 5 [--tcp]
                     [--deadline S] [--report FILE] [--bench-json FILE]
@@ -33,8 +33,8 @@ Sec. 3.4 Amdahl summary.
 ``--supervise`` (with ``--max-retries``, ``--phase-timeout`` and
 ``--no-degrade``) runs the parallel stages fault-tolerantly: worker
 death and hangs trigger pool rebuilds and retries of only the
-unfinished work, and exhausted retries degrade ``processes -> threads
--> serial`` unless ``--no-degrade``.  ``faults exec`` demonstrates the
+unfinished work, and exhausted retries degrade ``processes -> serial``
+unless ``--no-degrade``.  ``faults exec`` demonstrates the
 machinery: it encodes under an injected compute-fault schedule and
 verifies the supervised codestream is byte-identical to the serial
 reference.
@@ -284,7 +284,7 @@ def _cmd_faults_exec(args: argparse.Namespace) -> int:
             "note: hang fault without --phase-timeout; each hang blocks "
             f"for its full duration (default {faults._DEFAULT_HANG:g} s)"
         )
-    inner = get_backend(args.backend or "threads", args.workers)
+    inner = get_backend(args.backend or "serial", args.workers)
     sup = None
     try:
         sup = supervised(
@@ -357,7 +357,7 @@ def _cmd_races(args: argparse.Namespace) -> int:
         tile_size=args.tile_size,
     )
     reference = encode_image(img, params).data
-    det = RaceDetectorBackend(get_backend(args.backend or "threads", args.workers))
+    det = RaceDetectorBackend(get_backend(args.backend, args.workers))
     try:
         result = encode_image(img, params, backend=det, n_workers=args.workers)
         decode_image(result.data, backend=det, n_workers=args.workers)
@@ -371,7 +371,7 @@ def _cmd_races(args: argparse.Namespace) -> int:
     identical = result.data == reference
     print(
         f"verdict : {'race-free, byte-identical to serial reference OK' if identical else 'MISMATCH vs serial reference'}"
-        f" ({len(result.data)} bytes, backend={args.backend or 'threads'}, "
+        f" ({len(result.data)} bytes, backend={args.backend}, "
         f"workers={args.workers})"
     )
     return 0 if identical else 1
@@ -428,6 +428,7 @@ def _cmd_bench_compare(args: argparse.Namespace) -> int:
         load_trajectory,
         run_scenario,
     )
+    from .core.backend import BACKEND_NAMES
 
     root = Path(args.dir)
     if args.baseline:
@@ -461,6 +462,11 @@ def _cmd_bench_compare(args: argparse.Namespace) -> int:
     with PoolCache(wrap) as pools:
         for base_sc in gate_scenarios:
             scenario = Scenario.from_spec(base_sc.spec)
+            if scenario.backend not in BACKEND_NAMES:
+                # Left unmeasured, so the gate reports it as missing.
+                print(f"bench: {scenario.name} skipped "
+                      f"(unknown backend {scenario.backend!r})")
+                continue
             repeats = int(base_sc.spec.get("repeats", 3))
             print(f"bench: {scenario.name} (x{repeats})")
             current.scenarios.append(
@@ -497,7 +503,7 @@ def _serve_config_from_args(args: argparse.Namespace):
     from .serve import ServeConfig
 
     return ServeConfig(
-        backend=args.backend or "threads",
+        backend=args.backend,
         workers=args.workers,
         pools=args.pools,
         queue_depth=args.queue_depth,
@@ -691,7 +697,7 @@ def _add_backend_args(p: argparse.ArgumentParser) -> None:
     p.add_argument(
         "--backend", choices=BACKEND_NAMES, default=None,
         help="execution backend for the parallel stages "
-        "(default: threads when --workers > 1)",
+        "(default: serial)",
     )
     _add_supervision_args(p)
 
@@ -701,7 +707,7 @@ def _add_supervision_args(p: argparse.ArgumentParser) -> None:
     p.add_argument(
         "--supervise", action="store_true",
         help="run the parallel stages fault-tolerantly: retry crashed or "
-        "hung work on a rebuilt pool, degrade processes->threads->serial",
+        "hung work on a rebuilt pool, degrade processes->serial",
     )
     p.add_argument(
         "--max-retries", type=int, default=None, metavar="N",
@@ -797,7 +803,7 @@ def build_parser() -> argparse.ArgumentParser:
     for p in (tenc, tdec):
         p.add_argument(
             "--workers", type=int, default=1,
-            help="worker threads for the parallel stages (decode) and the "
+            help="workers for the parallel stages (decode) and the "
             "CPU count of the Amdahl summary",
         )
         p.add_argument(
@@ -813,7 +819,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument(
             "--backend", choices=BACKEND_NAMES, default=None,
             help="execution backend for the parallel stages "
-            "(default: threads when --workers > 1)",
+            "(default: serial)",
         )
         p.set_defaults(fn=_cmd_trace)
 
@@ -914,8 +920,8 @@ def build_parser() -> argparse.ArgumentParser:
     from .core.backend import BACKEND_NAMES
 
     rcs.add_argument(
-        "--backend", choices=BACKEND_NAMES, default=None,
-        help="execution backend to wrap (default: threads)",
+        "--backend", choices=BACKEND_NAMES, default="serial",
+        help="execution backend to wrap",
     )
     rcs.set_defaults(fn=_cmd_races)
 
@@ -1054,7 +1060,7 @@ def build_parser() -> argparse.ArgumentParser:
         from .core.backend import BACKEND_NAMES
 
         p.add_argument(
-            "--backend", choices=BACKEND_NAMES, default="threads",
+            "--backend", choices=BACKEND_NAMES, default="serial",
             help="execution backend of every warm pool",
         )
         p.add_argument("--workers", type=int, default=2,

@@ -66,10 +66,11 @@ def decode_image(
     max_layer:
         Decode only quality layers ``0..max_layer`` (None = all).
     n_workers:
-        Tier-1 decode the independent code-blocks on a thread pool with
-        the paper's staggered round-robin schedule (the decoder-side twin
-        of the paper's parallel encoding stage; see the ``ext_decoder``
-        experiment).  Results are identical for any worker count.
+        Tier-1 decode the independent code-blocks as ``n_workers``
+        shares dealt by the paper's staggered round-robin schedule (the
+        decoder-side twin of the paper's parallel encoding stage; see the
+        ``ext_decoder`` experiment).  Results are identical for any
+        worker count.
     resilient:
         Decode damaged streams instead of raising: resynchronize on the
         v2 resync framing where present, drop damaged packets, zero-fill
@@ -81,17 +82,17 @@ def decode_image(
         tier-1 task records.  ``None`` (default) allocates no spans.
     backend:
         Execution backend for the parallel stages --
-        ``serial``/``threads``/``processes`` or a live
+        ``serial``/``processes`` or a live
         :class:`~repro.core.backend.ExecutionBackend`.  ``None``
-        (default) keeps the historical thread-pool behaviour.  With an
-        explicit backend the inverse DWT sweeps run on it too.  The
+        (default) runs the shares on ``serial``.  With an explicit
+        backend the inverse DWT sweeps run on it too.  The
         decoded image is bit-identical for every backend and worker
         count.
     supervise:
         ``True`` or a :class:`~repro.core.supervise.SupervisionPolicy`:
         run the backend's parallel stages fault-tolerantly (retries,
-        pool rebuilds, the ``processes -> threads -> serial``
-        degradation ladder).  In resilient mode the resulting
+        pool rebuilds, the ``processes -> serial`` degradation
+        ladder).  In resilient mode the resulting
         :class:`~repro.core.supervise.SupervisionReport` is attached to
         the returned ``DecodeReport.supervision``.  ``metrics`` (a
         :class:`~repro.obs.MetricsRegistry`) receives live
@@ -108,10 +109,9 @@ def decode_image(
     policy = resolve_policy(supervise)
     owned_bk = sup = None
     owned = False
-    if policy is not None and backend is None:
-        backend = "threads"  # supervision needs a backend to supervise
-    if backend is not None and not hasattr(backend, "map_shares"):
-        # Resolve a backend *name* once up front so every tile-part (and
+    if backend is not None or policy is not None:
+        # Resolve a backend *name* (``None`` = serial: supervision needs
+        # a backend to supervise) once up front so every tile-part (and
         # the inverse DWT) shares one worker pool instead of spawning a
         # fresh pool per tile.
         from ..core.backend import resolve_backend
@@ -119,7 +119,7 @@ def decode_image(
         backend, owned = resolve_backend(backend, n_workers)
         if owned:
             owned_bk = backend
-    if policy is not None and backend is not None:
+    if policy is not None:
         from ..core.supervise import supervised
 
         backend = sup = supervised(

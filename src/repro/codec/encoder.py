@@ -129,8 +129,9 @@ def encode_image(
 
     ``n_workers``/``backend`` run the two parallel stages of the paper
     -- the DWT sweeps and tier-1 code-block coding -- on an execution
-    backend (``serial``/``threads``/``processes``, or a live
-    :class:`~repro.core.backend.ExecutionBackend`).  The codestream is
+    backend (``serial``/``processes``, or a live
+    :class:`~repro.core.backend.ExecutionBackend`; ``None`` means
+    ``serial``).  The codestream is
     byte-identical for every backend and worker count: the static
     partition only re-orders independent work (enforced by the
     differential test harness).
@@ -140,9 +141,9 @@ def encode_image(
     ``params.supervision``) runs the backend under supervision: worker
     death, hangs past the phase deadline, and transient kernel faults
     are retried -- re-running only the unfinished work -- and exhausted
-    retries degrade ``processes -> threads -> serial`` instead of
-    failing.  The :class:`~repro.core.supervise.SupervisionReport`
-    lands on ``EncodeResult.supervision``; ``metrics`` (a
+    retries degrade ``processes -> serial`` instead of failing.  The
+    :class:`~repro.core.supervise.SupervisionReport` lands on
+    ``EncodeResult.supervision``; ``metrics`` (a
     :class:`~repro.obs.MetricsRegistry`) additionally receives
     ``repro_supervisor_*`` counters as events happen.
     """

@@ -48,8 +48,8 @@ class CodecParams:
         :class:`~repro.core.supervise.SupervisionPolicy`: worker death
         and phase-deadline expiry trigger pool rebuilds and bounded
         retries of only the unfinished work, and exhausted retries walk
-        the ``processes -> threads -> serial`` degradation ladder
-        instead of failing the image.  ``None`` (the default) keeps the
+        the ``processes -> serial`` degradation ladder instead of
+        failing the image.  ``None`` (the default) keeps the
         historical fail-fast behaviour; explicit ``supervise=``
         arguments to ``encode_image``/``decode_image`` override this.
     """

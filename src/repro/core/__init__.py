@@ -13,9 +13,10 @@ Three parallelization techniques (Sec. 3) over the codec substrates:
    order (modelled by :mod:`repro.cachesim`; numerically witnessed by
    :func:`repro.wavelet.strategies.filter_columns_chunked`).
 
-The *real* threaded implementations here are numerically exact (tested
-against the serial paths); their wall-clock behaviour under CPython's GIL
-is not meaningful, so all performance results are produced on the
+The *real* parallel implementations here (on the ``serial`` or
+``processes`` execution backend) are numerically exact (tested against
+the serial paths); their wall clock on the host is context, not the
+paper's result, so all performance results are produced on the
 simulated SMP via :func:`repro.core.study.run_parallel_study` and
 related drivers -- see DESIGN.md's substitution table.
 

@@ -4,23 +4,24 @@ The paper's two headline parallel structures -- the barrier-synchronized
 DWT sweeps of Sec. 3.2 and the tier-1 code-block worker pool of
 Sec. 3.3 -- are *structurally* independent of how a "worker" is
 realized.  This module factors that choice out of
-:mod:`repro.core.parallel` into three interchangeable backends:
+:mod:`repro.core.parallel` into two interchangeable backends:
 
-- ``serial``    -- everything in the calling thread (the reference).
-- ``threads``   -- a :class:`~concurrent.futures.ThreadPoolExecutor`
-  (the historical behaviour; under CPython's GIL only NumPy-released
-  sections overlap).
+- ``serial``    -- everything in the calling thread (the reference and
+  the implicit default).
 - ``processes`` -- a :class:`~concurrent.futures.ProcessPoolExecutor`
   whose sweep operands travel through
   :mod:`multiprocessing.shared_memory`: the image/subband arrays are
   mapped into every worker zero-copy, each worker filters its static
   column slab in place, and only tiny task descriptors cross the pipe.
   Tier-1 code-blocks are dealt to workers share-by-share following the
-  paper's staggered round-robin schedule.
+  paper's staggered round-robin schedule.  Under CPython's GIL this is
+  the only backend whose workers play the role of the paper's SMP
+  threads: the kernels are pure Python, so a thread pool ran slower
+  than ``serial`` on every measured input and was removed.
 
 Every backend executes the *same* static partition in the *same* order
 per worker, so results are bit-identical across backends (enforced by
-``tests/test_backends_differential.py``).  All three feed per-worker
+``tests/test_backends_differential.py``).  Both feed per-worker
 :class:`~repro.obs.tracer.TaskRecord` timelines through an optional
 :class:`~repro.obs.tracer.PhaseRecorder`, so ``amdahl_report`` and the
 worker-timeline exporters can compare backends directly.
@@ -53,12 +54,7 @@ import importlib
 import pickle
 import time
 from abc import ABC, abstractmethod
-from concurrent.futures import (
-    BrokenExecutor,
-    ProcessPoolExecutor,
-    ThreadPoolExecutor,
-    wait,
-)
+from concurrent.futures import BrokenExecutor, ProcessPoolExecutor, wait
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
@@ -74,7 +70,6 @@ __all__ = [
     "Attempt",
     "ExecutionBackend",
     "SerialBackend",
-    "ThreadsBackend",
     "ProcessesBackend",
     "WorkerDeath",
     "get_backend",
@@ -85,11 +80,12 @@ __all__ = [
 
 
 class WorkerDeath(BaseException):
-    """A worker vanished mid-task on an in-thread backend.
+    """A worker vanished mid-task while running in the calling thread.
 
     The chaos harness (:class:`repro.faults.FaultyBackend`) raises this
-    for an injected ``kill`` fault on the ``serial``/``threads`` rungs,
-    where a real ``os._exit`` would take the whole interpreter down.  It
+    for an injected ``kill`` fault on the ``serial`` rung (and on the
+    in-place fast path a one-worker ``processes`` backend takes), where
+    a real ``os._exit`` would take the whole interpreter down.  It
     subclasses :class:`BaseException` on purpose: the per-unit fault
     capture of the in-thread attempts must *not* treat a dead worker
     like an ordinary kernel exception -- worker death aborts the attempt
@@ -98,7 +94,7 @@ class WorkerDeath(BaseException):
     """
 
 #: Registered backend names, in reference -> fastest-path order.
-BACKEND_NAMES = ("serial", "threads", "processes")
+BACKEND_NAMES = ("serial", "processes")
 
 
 # ---------------------------------------------------------------------------
@@ -217,17 +213,9 @@ class Attempt:
         kind = "worker death" if isinstance(self.fatal, WorkerDeath) else "broken pool"
         return f"{kind}: {self.fatal}"
 
-    def merge(self, other: "Attempt") -> None:
-        """Fold a partial attempt (one worker's share) into this one."""
-        self.results.update(other.results)
-        self.failed.update(other.failed)
-        if self.fatal is None:
-            self.fatal = other.fatal
-        self.timed_out = self.timed_out or other.timed_out
-
 
 # ---------------------------------------------------------------------------
-# Backend interface and the two in-process implementations.
+# Backend interface and the serial implementation.
 # ---------------------------------------------------------------------------
 
 
@@ -250,13 +238,12 @@ class ExecutionBackend(ABC):
         self.n_workers = n_workers
 
     def close(self) -> None:
-        """Release pooled workers (no-op for in-thread backends)."""
+        """Release pooled workers (no-op for the serial backend)."""
 
     def rebuild(self) -> None:
         """Discard pooled workers after a failure; the next call gets a
         fresh pool.  Unlike :meth:`close`, must never block on wedged
-        workers (process backends kill them, thread backends abandon
-        them)."""
+        workers (the process backend kills them)."""
         self.close()
 
     def __enter__(self) -> "ExecutionBackend":
@@ -373,9 +360,11 @@ def _stop_at(deadline: Optional[float]) -> Optional[float]:
     return None if deadline is None else time.perf_counter() + deadline
 
 
-def _run_ranges(fn, srcs, outs, ranges, extra, stop_at, ph, label,
+def _run_ranges(kernel, srcs, outs, ranges, extra, deadline, ph, label,
                 size_attr) -> Attempt:
     """Run sweep slabs in order in the calling thread."""
+    fn = resolve_sweep_kernel(kernel)
+    stop_at = _stop_at(deadline)
     att = Attempt()
     for a, b in ranges:
         if a != b:
@@ -398,10 +387,13 @@ def _run_ranges(fn, srcs, outs, ranges, extra, stop_at, ph, label,
     return att
 
 
-def _run_share(fn, w, share, stop_at, ph, label) -> Attempt:
-    """Run worker ``w``'s share of items in order in the calling thread."""
+def _run_shares(kernel, shares, deadline, ph, label) -> Attempt:
+    """Run every worker's share of items in order in the calling thread."""
+    fn = resolve_item_kernel(kernel)
+    stop_at = _stop_at(deadline)
     att = Attempt()
-    for i, payload in share:
+    for w, i, payload in ((w, i, payload) for w, share in enumerate(shares)
+                          for i, payload in share):
         if stop_at is not None and time.perf_counter() > stop_at:
             att.timed_out = True
             break
@@ -423,16 +415,6 @@ def _run_share(fn, w, share, stop_at, ph, label) -> Attempt:
     return att
 
 
-def _run_shares(fn, shares, stop_at, ph, label) -> Attempt:
-    """Run every share in order in the calling thread."""
-    att = Attempt()
-    for w, share in enumerate(shares):
-        att.merge(_run_share(fn, w, share, stop_at, ph, label))
-        if att.fatal is not None or att.timed_out:
-            break
-    return att
-
-
 class SerialBackend(ExecutionBackend):
     """Everything in the calling thread; the differential reference."""
 
@@ -440,82 +422,12 @@ class SerialBackend(ExecutionBackend):
 
     def sweep_attempt(self, kernel, srcs, outs, ranges, extra, deadline=None,
                       ph=None, label="cols", size_attr="columns") -> Attempt:
-        return _run_ranges(resolve_sweep_kernel(kernel), srcs, outs, ranges,
-                           extra, _stop_at(deadline), ph, label, size_attr)
+        return _run_ranges(kernel, srcs, outs, ranges, extra, deadline, ph,
+                           label, size_attr)
 
     def map_shares_attempt(self, kernel, shares, deadline=None,
                            ph=None, label="cb") -> Attempt:
-        return _run_shares(resolve_item_kernel(kernel), shares,
-                           _stop_at(deadline), ph, label)
-
-
-class ThreadsBackend(ExecutionBackend):
-    """Worker threads (the pre-backend behaviour, GIL caveats included)."""
-
-    name = "threads"
-
-    def __init__(self, n_workers: int = 1) -> None:
-        super().__init__(n_workers)
-        self._executor: Optional[ThreadPoolExecutor] = None
-
-    def _pool(self) -> ThreadPoolExecutor:
-        if self._executor is None:
-            self._executor = ThreadPoolExecutor(max_workers=self.n_workers)
-        return self._executor
-
-    def close(self) -> None:
-        if self._executor is not None:
-            self._executor.shutdown()
-            self._executor = None
-
-    def rebuild(self) -> None:
-        # A wedged worker thread cannot be killed; abandon the pool
-        # (cancel queued work, don't join) and start fresh next call.
-        ex, self._executor = self._executor, None
-        if ex is not None:
-            ex.shutdown(wait=False, cancel_futures=True)
-
-    def _gather(self, calls, deadline) -> Attempt:
-        """Run each ``(fn, *args)`` call -- a partial attempt -- on the
-        pool and merge those that finish within ``deadline``.  Calls
-        still running at the deadline leave their units unfinished; the
-        supervisor's rebuild abandons the wedged threads."""
-        pool = self._pool()
-        futs = [pool.submit(*call) for call in calls]
-        done, not_done = wait(futs, timeout=deadline)
-        att = Attempt(timed_out=bool(not_done))
-        for fut in futs:
-            if fut in done:
-                att.merge(fut.result())
-        return att
-
-    def sweep_attempt(self, kernel, srcs, outs, ranges, extra, deadline=None,
-                      ph=None, label="cols", size_attr="columns") -> Attempt:
-        fn = resolve_sweep_kernel(kernel)
-        stop_at = _stop_at(deadline)
-        live = [(a, b) for a, b in ranges if a != b]
-        if self.n_workers == 1 or len(live) <= 1:
-            return _run_ranges(fn, srcs, outs, ranges, extra, stop_at, ph,
-                               label, size_attr)
-        att = self._gather(
-            [(_run_ranges, fn, srcs, outs, [rng], extra, stop_at, ph, label,
-              size_attr) for rng in live],
-            deadline,
-        )
-        att.results.update(dict.fromkeys((a, b) for a, b in ranges if a == b))
-        return att
-
-    def map_shares_attempt(self, kernel, shares, deadline=None,
-                           ph=None, label="cb") -> Attempt:
-        fn = resolve_item_kernel(kernel)
-        stop_at = _stop_at(deadline)
-        live = [(w, share) for w, share in enumerate(shares) if share]
-        if self.n_workers == 1 or len(live) <= 1:
-            return _run_shares(fn, shares, stop_at, ph, label)
-        return self._gather(
-            [(_run_share, fn, w, share, stop_at, ph, label) for w, share in live],
-            deadline,
-        )
+        return _run_shares(kernel, shares, deadline, ph, label)
 
 
 # ---------------------------------------------------------------------------
@@ -602,7 +514,7 @@ class ProcessesBackend(ExecutionBackend):
     are pickled (they are small and independent).  Worker busy time is
     measured inside the worker and fed back into the phase recorder, so
     worker timelines and the Amdahl accounting stay comparable with the
-    in-process backends.
+    serial backend.
     """
 
     name = "processes"
@@ -725,9 +637,8 @@ class ProcessesBackend(ExecutionBackend):
         degenerate = any(arr.nbytes == 0 for arr in list(srcs) + list(outs))
         if self.n_workers == 1 or len(live) <= 1 or degenerate:
             # Nothing to gain from IPC; run the reference path in place.
-            return _run_ranges(resolve_sweep_kernel(kernel), srcs, outs,
-                               ranges, extra, _stop_at(deadline), ph, label,
-                               size_attr)
+            return _run_ranges(kernel, srcs, outs, ranges, extra, deadline,
+                               ph, label, size_attr)
         att = Attempt(results=dict.fromkeys((a, b) for a, b in ranges if a == b))
         segments: List[Any] = []
         try:
@@ -766,8 +677,7 @@ class ProcessesBackend(ExecutionBackend):
                            ph=None, label="cb") -> Attempt:
         live = [(w, share) for w, share in enumerate(shares) if share]
         if self.n_workers == 1 or len(live) <= 1:
-            return _run_shares(resolve_item_kernel(kernel), shares,
-                               _stop_at(deadline), ph, label)
+            return _run_shares(kernel, shares, deadline, ph, label)
         att = Attempt()
         calls = [(kernel, share) for _, share in live]
         for k, items, error in self._run_pool(
@@ -791,13 +701,12 @@ class ProcessesBackend(ExecutionBackend):
 
 _BACKENDS = {
     "serial": SerialBackend,
-    "threads": ThreadsBackend,
     "processes": ProcessesBackend,
 }
 
 
 def get_backend(name: str, n_workers: int = 1) -> ExecutionBackend:
-    """Instantiate a backend by name (``serial``/``threads``/``processes``)."""
+    """Instantiate a backend by name (``serial``/``processes``)."""
     try:
         cls = _BACKENDS[name]
     except KeyError:
@@ -810,14 +719,12 @@ def get_backend(name: str, n_workers: int = 1) -> ExecutionBackend:
 def resolve_backend(backend, n_workers: int = 1) -> Tuple[ExecutionBackend, bool]:
     """Normalize a backend argument to ``(instance, owned)``.
 
-    ``backend`` may be ``None`` (the historical ``threads`` behaviour),
-    a name, or a live :class:`ExecutionBackend`.  ``owned`` tells the
-    caller whether it created the instance and must close it; passed-in
+    ``backend`` may be ``None`` (``serial``), a name, or a live
+    :class:`ExecutionBackend`.  ``owned`` tells the caller whether it
+    created the instance and must close it; passed-in
     instances keep their caller-managed lifetime (and their own
     ``n_workers``, which wins over the ``n_workers`` argument).
     """
     if isinstance(backend, ExecutionBackend):
         return backend, False
-    if backend is None:
-        backend = "threads"
-    return get_backend(backend, n_workers), True
+    return get_backend(backend or "serial", n_workers), True

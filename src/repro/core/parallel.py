@@ -16,14 +16,12 @@ serial paths:
 Every function takes a ``backend`` -- a name from
 :data:`repro.core.backend.BACKEND_NAMES` or a live
 :class:`~repro.core.backend.ExecutionBackend` -- selecting *how* the
-static decomposition executes: ``serial`` in the calling thread,
-``threads`` on a thread pool (the historical default; under CPython's
-GIL only NumPy-released sections overlap), or ``processes`` on a
-process pool whose sweeps share arrays through
-:mod:`multiprocessing.shared_memory` and therefore scale across cores.
-Results are bit-identical across backends and worker counts (the
+static decomposition executes: ``serial`` in the calling thread (the
+default), or ``processes`` on a process pool whose sweeps share arrays
+through :mod:`multiprocessing.shared_memory` and therefore scale across
+cores.  Results are bit-identical across backends and worker counts (the
 differential harness in ``tests/test_backends_differential.py`` holds
-all three to byte-identical codestreams); all *simulated* speedup
+both to byte-identical codestreams); all *simulated* speedup
 numbers in the experiments still come from the deterministic SMP model
 (see DESIGN.md).
 """
@@ -103,7 +101,7 @@ def parallel_dwt2d(
     phase per sweep -- ``DWT vertical L<n>`` / ``DWT horizontal L<n>`` --
     with per-worker slab tasks, queue waits, and the barrier wait between
     the vertical and horizontal sweeps of each level.  ``backend``
-    selects the execution backend (default: ``threads``).
+    selects the execution backend (default: ``serial``).
     """
     bank = get_filter(filter_name)
     a = np.asarray(image)
@@ -151,7 +149,7 @@ def parallel_idwt2d(
 
     ``tracer`` records the mirrored barrier phases (``IDWT horizontal
     L<n>`` / ``IDWT vertical L<n>``) with per-worker slab tasks;
-    ``backend`` selects the execution backend (default: ``threads``).
+    ``backend`` selects the execution backend (default: ``serial``).
     """
     bank = get_filter(subbands.filter_name)
     if n_workers < 1:
@@ -340,7 +338,7 @@ def parallel_quantize(
     "Every processor may have a chunk of coefficients from the wavelet
     transform which it has to quantize" (Sec. 3.3).  ``tracer`` records
     one ``quantization chunks`` phase with a task per chunk; ``backend``
-    selects the execution backend (default: ``threads``).
+    selects the execution backend (default: ``serial``).
     """
     if n_workers < 1:
         raise ValueError("need at least one worker")

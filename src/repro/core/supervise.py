@@ -15,8 +15,10 @@ have produced.  :class:`SupervisedBackend` wraps any
    rebuild the pool -- killing wedged workers -- and retry with
    deterministic exponential backoff, up to ``max_retries`` per rung;
 3. when retries exhaust, step down the degradation ladder
-   ``processes -> threads -> serial`` (sticky for the rest of the
-   wrapper's life) instead of failing the image;
+   ``processes -> serial`` (sticky for the rest of the wrapper's
+   life) instead of failing the image.  The serial rung cannot preempt
+   a running kernel: it checks the deadline between units, so only the
+   process rung recovers from a hang;
 4. at the bottom of the ladder, surface persistent *kernel* errors the
    same way the unsupervised backends do (map items go into the
    ``errors`` list for downstream concealment, sweep failures raise),
@@ -51,7 +53,7 @@ __all__ = [
 ]
 
 #: Rung order: fastest first, most reliable last.
-DEGRADATION_LADDER = ("processes", "threads", "serial")
+DEGRADATION_LADDER = ("processes", "serial")
 
 
 class SupervisionError(RuntimeError):
@@ -162,8 +164,8 @@ class SupervisedBackend(ExecutionBackend):
     exact contracts (including per-item error capture for concealment)
     and just survive worker death, hangs and transient kernel faults
     along the way.  Degradation is sticky -- once the
-    wrapper has stepped down to ``threads`` or ``serial`` it stays
-    there, because a pool that just killed workers will do it again.
+    wrapper has stepped down to ``serial`` it stays there, because a
+    pool that just killed workers will do it again.
     """
 
     name = "supervised"

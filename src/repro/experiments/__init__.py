@@ -17,7 +17,7 @@ Every module exposes ``run(quick=False) -> ExperimentResult``:
 ``fig13_sgi_classical``   Classical speedup vs optimized serial (SGI)
 ``sec33_quant``        Quantization-stage parallel speedup
 ``sec34_amdahl``       Theoretical (Amdahl) vs measured speedups
-``ext_backends``       Extension: serial/threads/processes execution backends
+``ext_backends``       Extension: serial/processes execution backends
 ``ext_decoder``        Extension: the techniques applied to decoding
 ``ext_faulttolerance``  Extension: supervised recovery from compute faults
 ``ext_message_passing``  Extension: SMP vs message-passing clusters

@@ -1,11 +1,13 @@
 """Extension -- real execution backends under the differential contract.
 
-The paper's results come from genuinely parallel hardware; this repo's
-*measured* numbers historically came from a thread pool that CPython's
-GIL serializes.  The ``processes`` backend closes that gap: the same
-static decompositions (Secs. 3.2/3.3) run on a process pool sharing
-arrays through ``multiprocessing.shared_memory``.  This experiment
-encodes one Fig. 6/9-style workload on every backend and holds them to
+The paper's results come from genuinely parallel hardware; under
+CPython's GIL a thread pool serializes the pure-Python kernels (it ran
+slower than ``serial`` on every measured input, so the repo has no
+thread backend).  The ``processes`` backend plays the paper's SMP
+workers: the same static decompositions (Secs. 3.2/3.3) run on a
+process pool sharing arrays through ``multiprocessing.shared_memory``.
+This experiment encodes one Fig. 6/9-style workload on both backends
+(``serial`` is the reference) and holds them to
 the differential contract -- byte-identical codestreams, bit-exact
 round-trips, and equivalent observability (same per-worker task counts
 feeding the Fig.-3 stage tables) -- while recording the measured wall
@@ -33,7 +35,7 @@ _POOL_PHASES = ("tier-1 encode pool",)
 def run(quick: bool = False) -> ExperimentResult:
     result = ExperimentResult(
         name="ext_backends",
-        description="Extension: serial/threads/processes execution backends",
+        description="Extension: serial/processes execution backends",
         paper=(
             "Not in the paper (its parallelism is real SMP hardware); "
             "contract derived from its structure: static partitions only "
@@ -54,7 +56,7 @@ def run(quick: bool = False) -> ExperimentResult:
     wall = {}
     for name in BACKEND_NAMES:
         # One tracer per measured backend run, by design: each backend's
-        # timeline must be separable.  Not a hot loop (three iterations).
+        # timeline must be separable.  Not a hot loop (two iterations).
         tracer = Tracer()  # repro: noqa[obs-zero-cost]
         with get_backend(name, n_workers) as bk:
             t0 = time.perf_counter()

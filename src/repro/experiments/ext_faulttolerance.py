@@ -1,7 +1,7 @@
 """Extension -- fault-tolerant execution: recovery overhead and identity.
 
 The paper assumes a healthy SMP; real deployments lose workers (OOM
-kills, wedged threads, flaky kernels).  The supervision layer
+kills, wedged workers, flaky kernels).  The supervision layer
 (:mod:`repro.core.supervise`) recovers by re-running only the unfinished
 units of the idempotent decomposition, so the *product* is unaffected --
 the only cost is time.  This experiment measures that cost: one
@@ -9,7 +9,8 @@ baseline encode per backend, the same encode supervised with no fault
 (the supervision tax), and supervised encodes under each compute-fault
 kind (``exc`` / ``kill`` / ``hang``), each row checked byte-identical
 against the serial reference.  The degradation ladder is exercised with
-a persistent fault that forces the run down to ``serial``.
+a persistent fault that forces a ``processes`` run down to ``serial``,
+the ladder's only other rung.
 
 Wall-clock *ratios* are environment-dependent and deliberately
 unchecked; byte-identity and report accounting are the checks.
@@ -59,7 +60,7 @@ def run(quick: bool = False) -> ExperimentResult:
          "wall (s)": t_serial, "retries": 0, "identical": True}
     )
 
-    backends = ("threads",) if quick else ("threads", "processes")
+    backends = ("serial",) if quick else ("serial", "processes")
     faults = {
         "none": [],
         "exc": [ComputeFault("exc", op="map")],
@@ -79,9 +80,9 @@ def run(quick: bool = False) -> ExperimentResult:
         )
         identical &= baseline.data == reference.data
         for label, schedule in faults.items():
-            # hang needs a killable worker; skip it on the thread pool
-            # (an abandoned thread would outlive the attempt harmlessly
-            # but add noise to the timing rows).
+            # hang needs a killable worker; the serial rung checks its
+            # deadline only between units, so it would just sleep out
+            # the hang.
             if label == "hang" and backend != "processes":
                 continue
             pol = policy
@@ -112,11 +113,11 @@ def run(quick: bool = False) -> ExperimentResult:
                  "identical": same}
             )
 
-    # Degradation ladder: a persistent kernel fault pushes the run all
-    # the way down to the serial rung -- and the bytes still match.
+    # Degradation ladder: a persistent kernel fault pushes the run down
+    # to the serial rung -- and the bytes still match.
     sup = supervised(
         FaultyBackend(
-            get_backend("threads", n_workers),
+            get_backend("processes", n_workers),
             [ComputeFault("exc", op="map", persistent=True)],
         ),
         SupervisionPolicy(max_retries=1, backoff_base=0.0),
@@ -129,7 +130,7 @@ def run(quick: bool = False) -> ExperimentResult:
     identical &= res.data == reference.data
     result.rows.append(
         {"run": "supervised persistent exc (degrades)",
-         "backend": f"threads->{sup.report.final_backend}",
+         "backend": f"processes->{sup.report.final_backend}",
          "wall (s)": wall, "retries": sup.report.retries,
          "identical": res.data == reference.data}
     )

@@ -27,7 +27,8 @@ exactly-once soak in ``tests/test_serve_client.py`` drives the
 **Compute faults** model the *workers* failing rather than the bytes:
 a kernel raising (``exc``), a worker wedging (``hang``), or a worker
 being killed outright (``kill`` -- a real ``os._exit`` in a process
-worker, a :class:`~repro.core.backend.WorkerDeath` on in-thread rungs).
+worker, a :class:`~repro.core.backend.WorkerDeath` when the unit runs in
+the calling thread, as on the serial rung).
 :class:`ComputeFault` names the exact call and unit that misbehaves, so
 a fault schedule is as reproducible as a ``FaultSpec``;
 :class:`FaultyBackend` injects the schedule into any execution backend
@@ -232,8 +233,9 @@ def inject(
 COMPUTE_FAULT_KINDS = ("exc", "hang", "kill")
 
 #: Default wedge duration for ``hang`` (seconds).  Long enough that any
-#: sane phase deadline expires first, short enough that an abandoned
-#: worker thread cannot wedge interpreter shutdown forever.
+#: sane phase deadline expires first, short enough that a hang on the
+#: serial rung -- which checks deadlines only between units -- still
+#: ends.
 _DEFAULT_HANG = 30.0
 
 
@@ -253,7 +255,8 @@ class ComputeFault:
         ``exc`` (kernel raises :class:`InjectedFault`), ``hang`` (the
         worker sleeps ``arg`` seconds, default 30), or ``kill`` (the
         worker dies: ``os._exit(27)`` in a process worker,
-        :class:`~repro.core.backend.WorkerDeath` on in-thread rungs).
+        :class:`~repro.core.backend.WorkerDeath` when the unit runs in
+        the calling thread, as on the serial rung).
     ``op``
         Which primitive to strike: ``sweep``, ``map``, or ``any``.
     ``call``

@@ -55,6 +55,7 @@ from typing import Any, Callable, Dict, List, Optional, Tuple
 import numpy as np
 
 from ..codec import CodecParams
+from ..core.backend import BACKEND_NAMES
 from ..core.supervise import SupervisionPolicy
 from .admission import (
     SHED_REASONS,
@@ -102,9 +103,12 @@ class ServeConfig:
     replay cache; ``track_executions`` keeps per-key execution counts
     on the cache (test/diagnostic only -- the dict grows with the key
     space).
+
+    ``backend`` names the execution backend of every warm pool
+    (``serial``, the default, or ``processes``).
     """
 
-    backend: str = "threads"
+    backend: str = "serial"
     workers: int = 2
     pools: int = 1
     queue_depth: int = 64
@@ -118,6 +122,11 @@ class ServeConfig:
     track_executions: bool = False
 
     def __post_init__(self) -> None:
+        if self.backend not in BACKEND_NAMES:
+            raise ValueError(
+                f"unknown backend {self.backend!r}; "
+                f"options: {', '.join(BACKEND_NAMES)}"
+            )
         if self.workers < 1:
             raise ValueError("workers must be >= 1")
         if self.pools < 1:

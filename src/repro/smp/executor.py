@@ -200,8 +200,9 @@ class SimulatedSMP:
 
         ``supervise`` (``True`` or a
         :class:`~repro.core.supervise.SupervisionPolicy`) runs the
-        backend fault-tolerantly -- retries, pool rebuilds, degradation
-        ladder -- and attaches the
+        backend fault-tolerantly -- retries, pool rebuilds, the
+        ``processes -> serial`` degradation ladder; without a
+        ``backend`` it supervises ``serial`` -- and attaches the
         :class:`~repro.core.supervise.SupervisionReport` to
         ``RunResult.supervision``.  ``metrics`` (a
         :class:`~repro.obs.MetricsRegistry`) receives live
@@ -211,10 +212,8 @@ class SimulatedSMP:
         from ..core.supervise import resolve_policy
 
         policy = resolve_policy(supervise)
-        if policy is not None and backend is None:
-            backend = "threads"
         bk = owned = None
-        if backend is not None:
+        if backend is not None or policy is not None:
             from ..core.backend import resolve_backend
 
             bk, was_created = resolve_backend(backend, self.n_cpus)

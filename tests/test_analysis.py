@@ -4,7 +4,7 @@ Every lint rule is exercised on embedded good/bad fixtures written to a
 temp tree, so a rule regression fails here before it silently stops
 protecting the real codebase.  The race-detector tests include a
 deliberately overlapping-write kernel (must be caught) and real
-DWT/codec sweeps on the threads and processes backends (must run
+DWT/codec sweeps on the serial and processes backends (must run
 race-free and byte-identical to the serial reference).
 """
 
@@ -152,7 +152,7 @@ class TestPoolLifecycle:
     def test_leaked_binding_flagged(self, tmp_path):
         res = lint_source(tmp_path, (
             "def leak():\n"
-            "    bk = get_backend('threads', 2)\n"
+            "    bk = get_backend('processes', 2)\n"
             "    bk.sweep('dwt', (), (), [], {})\n"
         ))
         assert "pool-lifecycle" in rules_of(res)
@@ -160,14 +160,14 @@ class TestPoolLifecycle:
     def test_unbound_acquisition_flagged(self, tmp_path):
         res = lint_source(tmp_path, (
             "def leak():\n"
-            "    get_backend('threads', 2).sweep('dwt', (), (), [], {})\n"
+            "    get_backend('processes', 2).sweep('dwt', (), (), [], {})\n"
         ))
         assert "pool-lifecycle" in rules_of(res)
 
     def test_with_statement_ok(self, tmp_path):
         res = lint_source(tmp_path, (
             "def ok():\n"
-            "    with get_backend('threads', 2) as bk:\n"
+            "    with get_backend('processes', 2) as bk:\n"
             "        bk.sweep('dwt', (), (), [], {})\n"
         ))
         assert "pool-lifecycle" not in rules_of(res)
@@ -175,7 +175,7 @@ class TestPoolLifecycle:
     def test_try_finally_close_ok(self, tmp_path):
         res = lint_source(tmp_path, (
             "def ok():\n"
-            "    bk = get_backend('threads', 2)\n"
+            "    bk = get_backend('processes', 2)\n"
             "    try:\n"
             "        bk.sweep('dwt', (), (), [], {})\n"
             "    finally:\n"
@@ -187,7 +187,7 @@ class TestPoolLifecycle:
         # The codec's real idiom: close via a conditional alias.
         res = lint_source(tmp_path, (
             "def ok(created):\n"
-            "    bk = get_backend('threads', 2)\n"
+            "    bk = get_backend('processes', 2)\n"
             "    owned = bk if created else None\n"
             "    try:\n"
             "        bk.sweep('dwt', (), (), [], {})\n"
@@ -200,9 +200,9 @@ class TestPoolLifecycle:
     def test_ownership_transfer_ok(self, tmp_path):
         res = lint_source(tmp_path, (
             "def factory():\n"
-            "    return get_backend('threads', 2), True\n"
+            "    return get_backend('processes', 2), True\n"
             "def adopt():\n"
-            "    return Wrapper(get_backend('threads', 2))\n"
+            "    return Wrapper(get_backend('processes', 2))\n"
         ))
         assert "pool-lifecycle" not in rules_of(res)
 
@@ -599,9 +599,9 @@ class TestRealCodecRaceFree:
         return CodecParams(levels=2, filter_name="9/7", cb_size=16,
                            base_step=1 / 64, target_bpp=(1.0,))
 
-    def test_threads_sweeps_race_free(self, image, params):
+    def test_serial_sweeps_race_free(self, image, params):
         reference = encode_image(image, params).data
-        with RaceDetectorBackend(get_backend("threads", 2)) as det:
+        with RaceDetectorBackend(get_backend("serial", 2)) as det:
             res = encode_image(image, params, backend=det, n_workers=2)
             rec = decode_image(res.data, backend=det, n_workers=2)
         assert det.report.clean, det.report.summary()

@@ -1,7 +1,6 @@
 """Cross-backend differential harness (PR tentpole).
 
-Every execution backend -- ``serial``, ``threads``, ``processes`` --
-must produce *byte-identical* codestreams and bit-exact decodes for the
+Every execution backend -- ``serial`` and ``processes`` -- must produce *byte-identical* codestreams and bit-exact decodes for the
 same inputs, for any worker count.  The parallel structure only
 re-orders independent column slabs / code-blocks, so even the 9/7
 float path admits no tolerance: equality is exact, not approximate.
@@ -66,7 +65,7 @@ def _assert_case_identical(case, process_backend) -> None:
     params = _params(levels, cb, filt)
     reference = encode_bytes(img, params, backend="serial", n_workers=2)
     decoded_ref = decode_image(reference)
-    for backend in ("serial", "threads", process_backend):
+    for backend in ("serial", process_backend):
         for supervise in (False, True):
             where = f"{backend} (supervise={supervise}) on {case}"
             data = encode_bytes(img, params, backend=backend, n_workers=2,
@@ -95,7 +94,7 @@ class TestCodestreamIdentity:
         img = seeded_image(31, 61, 96, kind="noise")
         params = _params(3, 16, "5/3")
         reference = encode_bytes(img, params, backend="serial")
-        for name in ("threads", "processes"):
+        for name in ("serial", "processes"):
             data = encode_bytes(
                 img, params, backend=name, n_workers=n_workers
             )
@@ -106,8 +105,8 @@ class TestCodestreamIdentity:
         img = seeded_image(32, 96, 96, kind="edges")
         params = CodecParams(levels=2, filter_name="5/3", cb_size=16, tile_size=48)
         reference = encode_bytes(img, params, backend="serial", n_workers=2)
-        for backend in ("threads", process_backend):
-            assert encode_bytes(img, params, backend=backend, n_workers=2) == reference
+        assert encode_bytes(img, params, backend=process_backend,
+                            n_workers=2) == reference
         assert np.array_equal(decode_image(reference), img)
 
 
@@ -121,7 +120,7 @@ class TestStageEquivalence:
         if filt == "5/3":
             img = img.astype(np.int64)  # the reversible path is integer-only
         ref = dwt2d(img, levels=3, filter_name=filt)
-        for backend in ("serial", "threads", process_backend):
+        for backend in ("serial", process_backend):
             got = parallel_dwt2d(img, 3, filt, n_workers=2, backend=backend)
             assert np.array_equal(got.ll, ref.ll)
             for lvl_ref, lvl_got in zip(ref.details, got.details):
@@ -133,7 +132,7 @@ class TestStageEquivalence:
     def test_quantize_chunks(self, process_backend):
         coeffs = seeded_image(42, 77, 53, kind="noise") - 128.0
         ref = quantize(coeffs, 1 / 64)
-        for backend in ("serial", "threads", process_backend):
+        for backend in ("serial", process_backend):
             got = parallel_quantize(coeffs, 1 / 64, n_workers=2, backend=backend)
             assert np.array_equal(got, ref)
 
@@ -192,6 +191,8 @@ class TestBackendApi:
     def test_unknown_backend_rejected(self):
         with pytest.raises(ValueError, match="unknown backend"):
             get_backend("gpu", 2)
+        with pytest.raises(ValueError, match=r"options: serial, processes$"):
+            get_backend("threads", 2)
         with pytest.raises(ValueError, match="unknown backend"):
             encode_image(np.zeros((8, 8)), CodecParams(levels=1), backend="gpu")
 
@@ -200,15 +201,55 @@ class TestBackendApi:
         assert bk is process_backend and not owned
         assert bk.n_workers == 2  # the instance's width wins
 
-    def test_resolve_default_is_threads(self):
+    def test_implicit_default_is_serial(self, tmp_path, capsys):
+        """``serial`` is the one fallback at every entry point that
+        accepts no backend: the resolver, supervised decode and SMP
+        runs, the server config, and the CLI commands."""
+        from repro.cli import build_parser, main
+        from repro.image import write_pnm
+        from repro.serve import ServeConfig
+        from repro.smp import INTEL_SMP, SimulatedSMP, Task
+
         bk, owned = resolve_backend(None, 2)
         try:
-            assert owned and bk.name == "threads" and bk.n_workers == 2
+            assert owned and bk.name == "serial" and bk.n_workers == 2
         finally:
             bk.close()
 
+        img = seeded_image(53, 32, 32, kind="noise")
+        params = _params(2, 16, "5/3")
+        data = encode_bytes(img, params)
+        _, report = decode_image(data, resilient=True, n_workers=2,
+                                 supervise=True)
+        assert report.supervision.final_backend == "serial"
+
+        smp = SimulatedSMP(INTEL_SMP, 2)
+        run = smp.run([("t1", [[Task("a", ops=10.0)], [Task("b", ops=20.0)]])],
+                      supervise=True)
+        assert run.supervision.final_backend == "serial"
+
+        assert ServeConfig().backend == "serial"
+        parser = build_parser()
+        for argv in (["serve", "run"], ["serve", "bench"], ["races"]):
+            assert parser.parse_args(argv).backend == "serial", argv
+
+        # encode/decode/faults exec pass ``None`` through to the resolver.
+        src, out = tmp_path / "in.pgm", tmp_path / "s.rj2k"
+        write_pnm(src, img.astype(np.uint8))
+        small = ["--levels", "2", "--cb-size", "16", "--workers", "2"]
+        capsys.readouterr()
+        assert main(["encode", str(src), str(out), "--lossless", "--supervise",
+                     *small]) == 0
+        assert "(final backend: serial)" in capsys.readouterr().out
+        assert main(["decode", str(out), str(tmp_path / "o.pgm"), "--resilient",
+                     "--supervise", "--workers", "2"]) == 0
+        assert "(final backend: serial)" in capsys.readouterr().out
+        assert main(["faults", "exec", str(src), "--fault", "exc:map",
+                     "--lossless", *small]) == 0
+        assert "(final backend: serial)" in capsys.readouterr().out
+
     def test_backends_usable_as_context_managers(self):
-        for name in ("serial", "threads"):
+        for name in BACKEND_NAMES:
             with get_backend(name, 2) as bk:
                 assert bk.name == name
 

@@ -196,7 +196,13 @@ def test_default_suite_shapes():
     full = default_suite(quick=False)
     assert len(quick) < len(full)
     assert len({sc.name for sc in full}) == len(full)
-    assert any(sc.backend == "processes" for sc in full)
+    assert {sc.backend for sc in quick} == {sc.backend for sc in full} == {
+        "serial", "processes"
+    }
+    # Both operations keep a parallel point on the speedup curve.
+    assert {sc.op for sc in full if sc.backend == "processes"} == {
+        "encode", "decode"
+    }
     # Every (op, side) that appears has a serial-w1 speedup base.
     combos = {(sc.op, sc.side) for sc in full}
     bases = {(sc.op, sc.side) for sc in full
@@ -205,8 +211,8 @@ def test_default_suite_shapes():
 
 
 def test_scenario_spec_round_trip():
-    sc = Scenario("decode", "threads", 4, 128)
-    assert sc.name == "decode-128px-threads-w4"
+    sc = Scenario("decode", "processes", 2, 128)
+    assert sc.name == "decode-128px-processes-w2"
     assert Scenario.from_spec(sc.spec(repeats=3)) == sc
 
 
@@ -238,7 +244,7 @@ def test_pool_cache_one_pool_per_cell():
     with PoolCache() as pools:
         a = pools.get("serial", 1)
         b = pools.get("serial", 1)
-        c = pools.get("threads", 2)
+        c = pools.get("processes", 2)
         assert a is b
         assert a is not c
         assert pools.creations == 2
@@ -274,7 +280,7 @@ def test_run_suite_reuses_one_pool_per_cell(monkeypatch):
     monkeypatch.setattr(sc_mod, "get_backend", counting_get_backend)
     run = run_suite(quick=True, repeats=1, profile=False)
     assert len(run.scenarios) == 3
-    assert sorted(created) == [("serial", 1), ("threads", 2)]
+    assert sorted(created) == [("processes", 2), ("serial", 1)]
 
 
 # ---------------------------------------------------------------------------
@@ -376,6 +382,24 @@ class TestBenchCLI:
         out = capsys.readouterr().out
         assert rc == 1
         assert "REGRESSION" in out
+
+    def test_compare_reports_scenario_of_removed_backend_missing(
+        self, tmp_path, capsys
+    ):
+        """A baseline scenario on a backend that no longer exists is not
+        re-measured (no crash) and fails the gate as missing."""
+        from repro.cli import main
+
+        gone = _result("encode-32px-threads-w2", [0.1, 0.1], spec={
+            "op": "encode", "backend": "threads", "workers": 2,
+            "side": 32, "repeats": 1,
+        })
+        write_trajectory(_run(gone), tmp_path)
+        rc = main(["bench", "compare", "--dir", str(tmp_path), "--tolerant"])
+        out = capsys.readouterr().out
+        assert rc == 1
+        assert "skipped (unknown backend 'threads')" in out
+        assert "encode-32px-threads-w2: in the baseline but not re-measured" in out
 
     def test_report_renders_markdown(self, tiny_suite, tmp_path, capsys):
         from repro.cli import main

@@ -1,4 +1,4 @@
-"""Real threaded parallel implementations equal the serial paths exactly."""
+"""Real parallel implementations equal the serial paths exactly."""
 
 import numpy as np
 import pytest

@@ -59,7 +59,7 @@ class TestRealToSimulatedPipeline:
 
 
 class TestParallelEncoderEquivalence:
-    """The real threaded pipeline components compose into the same image."""
+    """The real parallel pipeline components compose into the same image."""
 
     def test_threaded_transform_through_codec(self):
         img = synthetic_image(SyntheticSpec(64, 64, "mix", seed=40))

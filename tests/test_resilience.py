@@ -268,7 +268,7 @@ class TestBackendEquivalence:
             skip_prefix=main_header_size(True),
         )
         ref_img, ref_rep = decode_image(bad, resilient=True, backend="serial")
-        for backend in ("threads", process_backend):
+        for backend in ("serial", process_backend):
             img, rep = decode_image(
                 bad, resilient=True, n_workers=2, backend=backend
             )

@@ -231,7 +231,7 @@ class TestServer:
                 return self.inner.map_shares_attempt(*a, **kw)
 
         metrics = MetricsRegistry()
-        config = _serve_config(backend="threads", workers=2, queue_depth=2,
+        config = _serve_config(backend="serial", workers=2, queue_depth=2,
                                max_batch=1)
 
         async def main():
@@ -293,7 +293,7 @@ class TestServer:
                 gate.wait(5.0)
                 return self.inner.map_shares_attempt(*a, **kw)
 
-        config = _serve_config(backend="threads", workers=2, queue_depth=4,
+        config = _serve_config(backend="serial", workers=2, queue_depth=4,
                                max_batch=1)
 
         async def main():
@@ -374,6 +374,13 @@ class TestServer:
         with pytest.raises(ValueError):
             asyncio.run(_bad_op())
 
+    @pytest.mark.parametrize("name", ["gpu", "threads"])
+    def test_unknown_backend_rejected_at_construction(self, name):
+        # Like every other field, the backend is checked when the config
+        # is built -- not later, inside ``start()``.
+        with pytest.raises(ValueError, match="options: serial, processes"):
+            CodecServer(_serve_config(backend=name))
+
 
 async def _bad_op():
     async with CodecServer(_serve_config()) as server:
@@ -438,7 +445,7 @@ class TestChaos:
             return FaultyBackend(backend, [ComputeFault("kill")])
 
         config = _serve_config(
-            backend="threads", workers=2, queue_depth=16, max_batch=2,
+            backend="processes", workers=2, queue_depth=16, max_batch=2,
             supervision=SupervisionPolicy(max_retries=2, backoff_base=0.0),
         )
 
@@ -699,7 +706,7 @@ class TestCli:
 
 @pytest.mark.slow
 @pytest.mark.parametrize("backend,workers", [
-    ("serial", 1), ("threads", 2), ("processes", 2),
+    ("serial", 1), ("processes", 2),
 ])
 @pytest.mark.parametrize("rate", [50.0, 200.0])
 def test_soak_matrix(backend, workers, rate):

@@ -475,7 +475,7 @@ class TestWireRobustness:
         from repro.serve import image_to_wire
 
         async def main():
-            config = _config(backend="threads", workers=2, pools=2,
+            config = _config(backend="serial", workers=2, pools=2,
                              max_batch=1)
             async with CodecServer(config) as server:
                 host, port = await server.serve_tcp("127.0.0.1", 0)

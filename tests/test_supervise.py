@@ -20,7 +20,7 @@ from concurrent.futures.process import BrokenProcessPool
 
 from tests.conftest import encode_bytes, seeded_image
 from repro.codec import CodecParams, decode_image, encode_image
-from repro.core.backend import get_backend
+from repro.core.backend import BACKEND_NAMES, get_backend
 from repro.core.supervise import (
     DEGRADATION_LADDER,
     DeadlineExpired,
@@ -67,17 +67,19 @@ class TestRecovery:
 
     def test_kernel_exception_retried(self):
         data, rep = _faulty_encode(
-            get_backend("threads", 2), [ComputeFault("exc", op="sweep")]
+            get_backend("serial", 2), [ComputeFault("exc", op="sweep")]
         )
         assert data == _reference()
         assert rep.kernel_errors == 1
         assert rep.retries == 1
         assert rep.degradations == 0
-        assert rep.final_backend == "threads"
+        assert rep.final_backend == "serial"
 
-    def test_worker_kill_threads(self):
+    def test_worker_kill_serial(self):
+        # On the serial rung a kill is a WorkerDeath that aborts the
+        # attempt; the retry re-runs only the unfinished items.
         data, rep = _faulty_encode(
-            get_backend("threads", 2), [ComputeFault("kill", op="map")]
+            get_backend("serial", 2), [ComputeFault("kill", op="map")]
         )
         assert data == _reference()
         assert rep.worker_deaths == 1
@@ -113,7 +115,7 @@ class TestRecovery:
 
     def test_multiple_faults_one_run(self):
         data, rep = _faulty_encode(
-            get_backend("threads", 2),
+            get_backend("serial", 2),
             [
                 ComputeFault("exc", op="sweep", call=1),
                 ComputeFault("exc", op="map", unit=3),
@@ -128,22 +130,27 @@ class TestDegradation:
     """Persistent faults exhaust retries and walk the ladder."""
 
     def test_ladder_reaches_serial(self):
+        # A persistent fault on the process pool degrades in one step,
+        # straight to serial: the ladder has no rung in between.
         data, rep = _faulty_encode(
-            get_backend("threads", 2),
+            get_backend("processes", 2),
             [ComputeFault("exc", op="map", persistent=True)],
             policy=SupervisionPolicy(max_retries=1, backoff_base=0.0),
         )
         assert data == _reference()
-        assert rep.degraded
+        assert rep.degradations == 1
+        assert [e.detail for e in rep.events if e.kind == "degrade"] == [
+            "processes -> serial"
+        ]
         assert rep.final_backend == "serial"
 
     def test_ladder_order(self):
-        assert DEGRADATION_LADDER == ("processes", "threads", "serial")
+        assert DEGRADATION_LADDER == ("processes", "serial")
 
     def test_degradation_is_sticky(self):
         bk = supervised(
             FaultyBackend(
-                get_backend("threads", 2),
+                get_backend("processes", 2),
                 [ComputeFault("exc", op="map", persistent=True)],
             ),
             SupervisionPolicy(max_retries=0, backoff_base=0.0),
@@ -162,7 +169,7 @@ class TestDegradation:
     def test_no_degrade_raises(self):
         with pytest.raises(SupervisionError):
             _faulty_encode(
-                get_backend("threads", 2),
+                get_backend("serial", 2),
                 [ComputeFault("kill", op="map", persistent=True)],
                 policy=SupervisionPolicy(
                     max_retries=1, degrade=False, backoff_base=0.0
@@ -225,7 +232,7 @@ class TestBrokenPoolReuse:
 class TestReporting:
     def test_report_counters_match_events(self):
         _, rep = _faulty_encode(
-            get_backend("threads", 2), [ComputeFault("kill", op="map")]
+            get_backend("serial", 2), [ComputeFault("kill", op="map")]
         )
         kinds = [e.kind for e in rep.events]
         assert kinds.count("worker-death") == rep.worker_deaths
@@ -237,7 +244,7 @@ class TestReporting:
     def test_live_metrics(self):
         registry = MetricsRegistry()
         _, rep = _faulty_encode(
-            get_backend("threads", 2),
+            get_backend("serial", 2),
             [ComputeFault("exc", op="sweep")],
             metrics=registry,
         )
@@ -261,7 +268,7 @@ class TestReporting:
         tracer = Tracer()
         sup = supervised(
             FaultyBackend(
-                get_backend("threads", 2), [ComputeFault("exc", op="sweep")]
+                get_backend("serial", 2), [ComputeFault("exc", op="sweep")]
             ),
             FAST,
             owns_inner=True,
@@ -274,13 +281,13 @@ class TestReporting:
             sup.close()
         attrs = [s.attrs for s in tracer.spans if "supervision.retries" in s.attrs]
         assert attrs, "no phase span carried supervision attributes"
-        assert all(a["supervision.backend"] == "threads" for a in attrs)
+        assert all(a["supervision.backend"] == "serial" for a in attrs)
 
 
 class TestIntegration:
     def test_supervised_no_fault_is_byte_identical(self):
         result = encode_image(
-            _image(), _params(), n_workers=2, backend="threads", supervise=FAST
+            _image(), _params(), n_workers=2, backend="processes", supervise=FAST
         )
         assert result.data == _reference()
         assert result.supervision is not None and result.supervision.clean
@@ -289,14 +296,14 @@ class TestIntegration:
         params = CodecParams(
             levels=2, filter_name="5/3", cb_size=16, supervision=FAST
         )
-        result = encode_image(_image(), params, n_workers=2, backend="threads")
+        result = encode_image(_image(), params, n_workers=2, backend="processes")
         assert result.supervision is not None
         assert result.data == _reference()
 
     def test_supervised_decode_round_trips(self):
         img = _image()
         data = _reference()
-        out = decode_image(data, n_workers=2, backend="threads", supervise=FAST)
+        out = decode_image(data, n_workers=2, backend="processes", supervise=FAST)
         assert np.array_equal(out, img)
 
     def test_supervised_resilient_decode_report(self):
@@ -305,7 +312,7 @@ class TestIntegration:
         )
         data = encode_bytes(_image(), params)
         img, report = decode_image(
-            data, resilient=True, n_workers=2, backend="threads", supervise=FAST
+            data, resilient=True, n_workers=2, backend="processes", supervise=FAST
         )
         assert np.array_equal(img, _image())
         assert report.supervision is not None
@@ -485,7 +492,7 @@ def _fail_odd_items(payload):
 
 RUNGS = [
     pytest.param(name, sup, id=f"{name}-{'supervised' if sup else 'unsupervised'}")
-    for name in ("serial", "threads", "processes")
+    for name in BACKEND_NAMES
     for sup in (False, True)
 ]
 
@@ -581,7 +588,7 @@ class TestErrorContract:
 
 SLOW_CASES = [
     (backend, workers, fault)
-    for backend in ("threads", "processes")
+    for backend in BACKEND_NAMES
     for workers in (2, 3)
     for fault in (
         ComputeFault("exc", op="sweep"),
@@ -589,6 +596,8 @@ SLOW_CASES = [
         ComputeFault("kill", op="map"),
         ComputeFault("exc", op="map", persistent=True),
     )
+    # A persistent fault on the bottom rung has nowhere to degrade to.
+    if backend == "processes" or not fault.persistent
 ]
 
 
