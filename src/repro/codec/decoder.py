@@ -67,8 +67,7 @@ def decode_image(
         Decode only quality layers ``0..max_layer`` (None = all).
     n_workers:
         Tier-1 decode the independent code-blocks as ``n_workers``
-        shares dealt by the paper's staggered round-robin schedule (the
-        decoder-side twin of the paper's parallel encoding stage; see the
+        shares dealt longest-predicted-cost first (the decoder-side twin of the paper's parallel encoding stage; see the
         ``ext_decoder`` experiment).  Results are identical for any
         worker count.
     resilient:

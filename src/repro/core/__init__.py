@@ -6,8 +6,9 @@ Three parallelization techniques (Sec. 3) over the codec substrates:
    across CPUs with a barrier between the vertical and horizontal
    filtering of every decomposition level
    (:func:`repro.core.parallel.parallel_dwt2d`).
-2. **Parallel code-block coding** -- tier-1 over a worker pool with
-   staggered round-robin block assignment
+2. **Parallel code-block coding** -- tier-1 over a worker pool, blocks
+   dealt longest-predicted-cost first (the paper's staggered round robin
+   stays in the simulator, :mod:`repro.smp`)
    (:func:`repro.core.parallel.parallel_encode_blocks`).
 3. **Cache-aware vertical filtering** -- the aggregated-columns access
    order (modelled by :mod:`repro.cachesim`; numerically witnessed by

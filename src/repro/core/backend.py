@@ -9,15 +9,18 @@ realized.  This module factors that choice out of
 - ``serial``    -- everything in the calling thread (the reference and
   the implicit default).
 - ``processes`` -- a :class:`~concurrent.futures.ProcessPoolExecutor`
-  whose sweep operands travel through
-  :mod:`multiprocessing.shared_memory`: the image/subband arrays are
-  mapped into every worker zero-copy, each worker filters its static
-  column slab in place, and only tiny task descriptors cross the pipe.
-  Tier-1 code-blocks are dealt to workers share-by-share following the
-  paper's staggered round-robin schedule.  Under CPython's GIL this is
-  the only backend whose workers play the role of the paper's SMP
-  threads: the kernels are pure Python, so a thread pool ran slower
-  than ``serial`` on every measured input and was removed.
+  that runs tier-1 code-block shares (pickled out, results pickled
+  back).  Under CPython's GIL this is the only backend whose workers
+  play the role of the paper's SMP threads: the kernels are pure
+  Python, so a thread pool ran slower than ``serial`` on every measured
+  input and was removed.
+
+Barrier sweeps (DWT/IDWT filtering, quantization chunks) run in the
+calling process on *every* backend.  A sweep round trip through the
+pool cost ~0.83 ms even when empty, and a 5-level DWT makes 15 of them:
+measured on 2 CPUs, the pool's DWT lost to the in-place one at every
+size, 1024 x 1024 included (139 ms against 62 ms).  The paper's parallel
+DWT is still reproduced by the simulator in :mod:`repro.smp`.
 
 Every backend executes the *same* static partition in the *same* order
 per worker, so results are bit-identical across backends (enforced by
@@ -26,26 +29,27 @@ per worker, so results are bit-identical across backends (enforced by
 :class:`~repro.obs.tracer.PhaseRecorder`, so ``amdahl_report`` and the
 worker-timeline exporters can compare backends directly.
 
-Both parallel shapes have one execution path per backend, a best-effort
-*attempt* that never raises on a worker failure and reports every unit's
-outcome in an :class:`Attempt`:
+Both parallel shapes have one execution path, a best-effort *attempt*
+that never raises on a worker failure and reports every unit's outcome
+in an :class:`Attempt`:
 
 ``sweep_attempt``
     One barrier-synchronized filtering/quantization sweep: a named
-    kernel applied to static ``(a, b)`` slabs of shared source/output
-    arrays.  Kernels are registered module-level functions (picklable
-    by name) in :data:`SWEEP_KERNELS`.
+    kernel applied to static ``(a, b)`` slabs of source/output arrays,
+    in the calling thread.  Kernels are registered module-level
+    functions (resolvable by name) in :data:`SWEEP_KERNELS`.
 ``map_shares_attempt``
     Independent items (code-blocks, simulated-SMP task lists) already
     dealt into per-worker shares; per-item exceptions are captured, so
-    fault isolation is identical for every backend.
+    fault isolation is identical for every backend.  This is the one
+    abstract method.
 
-These two are the only abstract methods.  :meth:`ExecutionBackend.sweep`
-and :meth:`ExecutionBackend.map_shares`, which every call site uses, are
-defined once on the base class as "one attempt without a deadline, then
-raise or collect"; :class:`~repro.core.supervise.SupervisedBackend`
-implements the attempt pair as its retry loop, so supervised and
-unsupervised runs execute the same code.
+:meth:`ExecutionBackend.sweep` and :meth:`ExecutionBackend.map_shares`,
+which every call site uses, are defined once on the base class as "one
+attempt without a deadline, then raise or collect";
+:class:`~repro.core.supervise.SupervisedBackend` implements the attempt
+pair as its retry loop, so supervised and unsupervised runs execute the
+same code.
 """
 
 from __future__ import annotations
@@ -83,10 +87,11 @@ class WorkerDeath(BaseException):
     """A worker vanished mid-task while running in the calling thread.
 
     The chaos harness (:class:`repro.faults.FaultyBackend`) raises this
-    for an injected ``kill`` fault on the ``serial`` rung (and on the
-    in-place fast path a one-worker ``processes`` backend takes), where
-    a real ``os._exit`` would take the whole interpreter down.  It
-    subclasses :class:`BaseException` on purpose: the per-unit fault
+    for an injected ``kill`` fault wherever a unit runs in the calling
+    process -- every sweep, and every share on the ``serial`` rung or a
+    one-worker ``processes`` backend -- where a real ``os._exit`` would
+    take the whole interpreter down.  It subclasses
+    :class:`BaseException` on purpose: the per-unit fault
     capture of the in-thread attempts must *not* treat a dead worker
     like an ordinary kernel exception -- worker death aborts the attempt
     (like a ``BrokenProcessPool`` does for the process backend) instead
@@ -99,7 +104,8 @@ BACKEND_NAMES = ("serial", "processes")
 
 # ---------------------------------------------------------------------------
 # Kernels.  Module-level and referenced by *name* so the process backend
-# can resolve them after pickling (and under the spawn start method).
+# can resolve item kernels after pickling (and under the spawn start
+# method), and wrappers can substitute sweep kernels by name.
 # ---------------------------------------------------------------------------
 
 
@@ -257,7 +263,6 @@ class ExecutionBackend(ABC):
 
     # -- the execution primitives -------------------------------------------
 
-    @abstractmethod
     def sweep_attempt(
         self,
         kernel: str,
@@ -270,15 +275,18 @@ class ExecutionBackend(ABC):
         label: str = "cols",
         size_attr: str = "columns",
     ) -> Attempt:
-        """One best-effort pass of ``SWEEP_KERNELS[kernel]`` over slabs.
+        """One best-effort pass of ``SWEEP_KERNELS[kernel]`` over slabs,
+        in range order in the calling thread on every backend.
 
-        Never raises on worker failure: the outcome of every slab is
+        Never raises on a kernel failure: the outcome of every slab is
         reported in the returned :class:`Attempt`, so a supervisor can
         re-run what is missing.  ``deadline`` (seconds, ``None`` = none)
-        bounds the attempt; ``ph`` (a
+        bounds the attempt, checked between slabs; ``ph`` (a
         :class:`~repro.obs.tracer.PhaseRecorder`) receives one task
         record per non-empty slab that ran.
         """
+        return _run_ranges(kernel, srcs, outs, ranges, extra, deadline, ph,
+                           label, size_attr)
 
     @abstractmethod
     def map_shares_attempt(
@@ -292,8 +300,9 @@ class ExecutionBackend(ABC):
         """One best-effort pass of ``ITEM_KERNELS[kernel]`` over pre-dealt
         worker shares (``shares[w]`` is worker ``w``'s list of
         ``(global_index, payload)`` items); same contract as
-        :meth:`sweep_attempt`.  A failed item's task record carries
-        ``concealed=True``."""
+        :meth:`sweep_attempt`, except that a pooled backend bounds the
+        attempt by ``deadline`` preemptively.  A failed item's task
+        record carries ``concealed=True``."""
 
     # -- the call-site API: one attempt, then raise or collect --------------
 
@@ -310,9 +319,9 @@ class ExecutionBackend(ABC):
     ) -> None:
         """Run one barrier sweep; returns after *every* slab finished.
 
-        A pool-fatal error (``BrokenProcessPool``, :class:`WorkerDeath`)
-        propagates; otherwise the kernel failure of the first failing
-        slab in range order does -- a sweep has no concealment path.
+        A :class:`WorkerDeath` propagates; otherwise the kernel failure
+        of the first failing slab in range order does -- a sweep has no
+        concealment path.
         """
         att = self.sweep_attempt(kernel, srcs, outs, ranges, extra,
                                  ph=ph, label=label, size_attr=size_attr)
@@ -420,55 +429,14 @@ class SerialBackend(ExecutionBackend):
 
     name = "serial"
 
-    def sweep_attempt(self, kernel, srcs, outs, ranges, extra, deadline=None,
-                      ph=None, label="cols", size_attr="columns") -> Attempt:
-        return _run_ranges(kernel, srcs, outs, ranges, extra, deadline, ph,
-                           label, size_attr)
-
     def map_shares_attempt(self, kernel, shares, deadline=None,
                            ph=None, label="cb") -> Attempt:
         return _run_shares(kernel, shares, deadline, ph, label)
 
 
 # ---------------------------------------------------------------------------
-# Process backend: ProcessPoolExecutor + shared-memory array transport.
+# Process backend: tier-1 shares on a ProcessPoolExecutor.
 # ---------------------------------------------------------------------------
-
-
-def _attach_shared(desc, segments) -> np.ndarray:
-    """Map a shared-memory descriptor ``(name, shape, dtype)`` to an array.
-
-    Attaching must not (re-)register the segment with the resource
-    tracker: only the creating parent owns (and unlinks) it, and a
-    second registration from a worker makes the tracker warn about --
-    or double-unlink -- the name (CPython bpo-39959).  Worker processes
-    run one task at a time, so the brief ``register`` patch is safe.
-    """
-    from multiprocessing import resource_tracker, shared_memory
-
-    name, shape, dtype = desc
-    original_register = resource_tracker.register
-    resource_tracker.register = lambda *args, **kwargs: None
-    try:
-        shm = shared_memory.SharedMemory(name=name)
-    finally:
-        resource_tracker.register = original_register
-    segments.append(shm)
-    return np.ndarray(shape, dtype=dtype, buffer=shm.buf)
-
-
-def _proc_sweep(kernel, src_descs, out_descs, a, b, extra) -> float:
-    """Worker-side slab execution; returns busy seconds."""
-    t0 = time.perf_counter()
-    segments: List[Any] = []
-    try:
-        srcs = [_attach_shared(d, segments) for d in src_descs]
-        outs = [_attach_shared(d, segments) for d in out_descs]
-        resolve_sweep_kernel(kernel)(srcs, outs, a, b, extra)
-    finally:
-        for seg in segments:
-            seg.close()
-    return time.perf_counter() - t0
 
 
 def _portable_exception(exc: BaseException) -> BaseException:
@@ -505,16 +473,15 @@ def _proc_share(kernel, share):
 
 
 class ProcessesBackend(ExecutionBackend):
-    """True multi-core execution: a process pool fed via shared memory.
+    """True multi-core execution of tier-1: a process pool of shares.
 
-    Sweep operands live in :mod:`multiprocessing.shared_memory`: sources
-    and outputs are copied in once per sweep, every worker maps them
-    zero-copy and writes its slab of the shared outputs in place, and
-    the parent copies the assembled outputs back out.  Code-block shares
-    are pickled (they are small and independent).  Worker busy time is
-    measured inside the worker and fed back into the phase recorder, so
-    worker timelines and the Amdahl accounting stay comparable with the
-    serial backend.
+    Each worker's share of code-blocks is pickled to it in one call and
+    its results are pickled back.  Sweeps stay in the calling process
+    (the inherited :meth:`~ExecutionBackend.sweep_attempt`): a pool
+    round trip per sweep costs more than the whole DWT.  Worker busy
+    time is measured inside the worker and fed back into the phase
+    recorder, so worker timelines and the Amdahl accounting stay
+    comparable with the serial backend.
     """
 
     name = "processes"
@@ -565,24 +532,24 @@ class ProcessesBackend(ExecutionBackend):
                 pass  # pragma: no cover - already dead or reaped
         ex.shutdown(wait=False, cancel_futures=True)
 
-    def _run_pool(self, fn, profiled: str, calls, deadline, att: Attempt):
-        """Run ``fn(*call)`` per call on the pool.
+    def _run_pool(self, kernel: str, shares, deadline, att: Attempt):
+        """Run ``_proc_share(kernel, share)`` per share on the pool.
 
-        Returns ``(k, value, error)`` for every call ``k`` that finished
+        Returns ``(k, items, error)`` for every share ``k`` that finished
         within ``deadline``, in submission order.  A broken pool or an
         expired deadline is recorded on ``att`` and rebuilds the pool.
         With a profiler attached each worker runs
-        ``repro.obs.profile.<profiled>`` instead and its sample table is
-        kept for :meth:`drain_profile_samples`.
+        ``repro.obs.profile.proc_share_profiled`` instead and its sample
+        table is kept for :meth:`drain_profile_samples`.
         """
+        fn, calls = _proc_share, [(kernel, share) for share in shares]
         hz = self.profile_hz
         if hz:
             # Lazy on purpose: the profiler module only loads once a
             # profiler has attached to this backend.
-            from ..obs import profile
+            from ..obs.profile import proc_share_profiled
 
-            fn = getattr(profile, profiled)
-            calls = [(*call, hz) for call in calls]
+            fn, calls = proc_share_profiled, [(*call, hz) for call in calls]
         finished = []
         try:
             pool = self._pool()
@@ -609,67 +576,9 @@ class ProcessesBackend(ExecutionBackend):
         if att.fatal is not None or att.timed_out:
             # Discard the dead or wedged pool so the next call on this
             # (reused) instance builds a fresh one instead of failing
-            # forever; killing the workers also drops their attachments
-            # to the sweep's shared segments.
+            # forever.
             self.rebuild()
         return finished
-
-    # -- sweeps -------------------------------------------------------------
-
-    @staticmethod
-    def _share(arrays, segments: List[Any]):
-        """Copy ``arrays`` into fresh shared segments: (descriptors, views)."""
-        from multiprocessing import shared_memory
-
-        descs, views = [], []
-        for arr in arrays:
-            shm = shared_memory.SharedMemory(create=True, size=arr.nbytes)
-            segments.append(shm)
-            view = np.ndarray(arr.shape, dtype=arr.dtype, buffer=shm.buf)
-            view[...] = arr
-            descs.append((shm.name, arr.shape, arr.dtype.str))
-            views.append(view)
-        return descs, views
-
-    def sweep_attempt(self, kernel, srcs, outs, ranges, extra, deadline=None,
-                      ph=None, label="cols", size_attr="columns") -> Attempt:
-        live = [(a, b) for a, b in ranges if a != b]
-        degenerate = any(arr.nbytes == 0 for arr in list(srcs) + list(outs))
-        if self.n_workers == 1 or len(live) <= 1 or degenerate:
-            # Nothing to gain from IPC; run the reference path in place.
-            return _run_ranges(kernel, srcs, outs, ranges, extra, deadline,
-                               ph, label, size_attr)
-        att = Attempt(results=dict.fromkeys((a, b) for a, b in ranges if a == b))
-        segments: List[Any] = []
-        try:
-            src_descs, _ = self._share(srcs, segments)
-            # The shared outputs start as the current arrays so the
-            # copy-back below is lossless for slabs this attempt never
-            # reached: slabs completed by earlier attempts survive,
-            # unfinished slabs stay re-runnable.
-            out_descs, out_views = self._share(outs, segments)
-            calls = [(kernel, src_descs, out_descs, a, b, extra) for a, b in live]
-            for w, busy, error in self._run_pool(
-                _proc_sweep, "proc_sweep_profiled", calls, deadline, att
-            ):
-                a, b = live[w]
-                if error is not None:
-                    att.failed[(a, b)] = error
-                    continue
-                att.results[(a, b)] = None
-                if ph is not None:
-                    ph.record(f"{label}[{a}:{b}]", worker=w, seconds=busy,
-                              **{size_attr: b - a})
-            for arr, view in zip(outs, out_views):
-                arr[...] = view
-        finally:
-            for seg in segments:
-                seg.close()
-                try:
-                    seg.unlink()
-                except FileNotFoundError:  # pragma: no cover - defensive
-                    pass
-        return att
 
     # -- independent items --------------------------------------------------
 
@@ -679,9 +588,8 @@ class ProcessesBackend(ExecutionBackend):
         if self.n_workers == 1 or len(live) <= 1:
             return _run_shares(kernel, shares, deadline, ph, label)
         att = Attempt()
-        calls = [(kernel, share) for _, share in live]
         for k, items, error in self._run_pool(
-            _proc_share, "proc_share_profiled", calls, deadline, att
+            kernel, [share for _, share in live], deadline, att
         ):
             if error is not None:
                 raise error  # the share never ran (e.g. an unknown kernel)

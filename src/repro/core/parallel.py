@@ -8,8 +8,9 @@ serial paths:
   whose per-level vertical and horizontal sweeps are partitioned
   statically across a worker pool, with a barrier between directions
   (the sweep is the barrier), exactly the structure of Sec. 3.2.
-- :func:`parallel_encode_blocks`: tier-1 over a worker pool with the
-  paper's staggered round-robin assignment.
+- :func:`parallel_encode_blocks` / :func:`parallel_decode_blocks`:
+  tier-1 over a worker pool, code-blocks dealt to workers by predicted
+  cost (longest processing time first).
 - :func:`parallel_quantize`: coefficient chunks across workers
   (Sec. 3.3).
 
@@ -17,13 +18,15 @@ Every function takes a ``backend`` -- a name from
 :data:`repro.core.backend.BACKEND_NAMES` or a live
 :class:`~repro.core.backend.ExecutionBackend` -- selecting *how* the
 static decomposition executes: ``serial`` in the calling thread (the
-default), or ``processes`` on a process pool whose sweeps share arrays
-through :mod:`multiprocessing.shared_memory` and therefore scale across
-cores.  Results are bit-identical across backends and worker counts (the
-differential harness in ``tests/test_backends_differential.py`` holds
-both to byte-identical codestreams); all *simulated* speedup
-numbers in the experiments still come from the deterministic SMP model
-(see DESIGN.md).
+default), or ``processes``, which ships tier-1 shares to a process pool
+and runs every sweep in the calling process (a pool round trip per
+sweep costs more than the whole transform; see
+:mod:`repro.core.backend`).  Results are bit-identical across backends
+and worker counts (the differential harness in
+``tests/test_backends_differential.py`` holds both to byte-identical
+codestreams); all *simulated* speedup numbers in the experiments still
+come from the deterministic SMP model, whose tier-1 pool keeps the
+paper's staggered round robin (see DESIGN.md).
 """
 
 from __future__ import annotations
@@ -33,7 +36,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from ..ebcot.t1 import EncodedBlock
-from ..smp.pool import staggered_round_robin
+from ..smp.pool import longest_processing_time
 from ..wavelet.dwt2d import Subbands
 from ..wavelet.filters import get_filter
 from .backend import resolve_backend
@@ -194,27 +197,62 @@ def parallel_idwt2d(
     return current
 
 
-def _shares(indexed, scheduler, n_workers: int):
-    """Deal indexed items to workers (single share when pooling is moot)."""
+def _first_field(block):
+    """A block tuple's first field, or ``None`` for a malformed block."""
+    return block[0] if isinstance(block, (tuple, list)) and block else None
+
+
+# Cost predictions never raise: a malformed block costs nothing here and
+# fails in its own kernel, where per-item fault capture reports it.
+
+
+def _encode_cost(block) -> int:
+    """Predicted tier-1 encode cost: samples x magnitude bit-planes."""
+    coeffs = _first_field(block)
+    if (not isinstance(coeffs, np.ndarray) or coeffs.dtype.kind not in "iu"
+            or coeffs.size == 0):
+        return 0
+    return coeffs.size * int(np.abs(coeffs).max()).bit_length()
+
+
+def _decode_cost(block) -> int:
+    """Predicted tier-1 decode cost: segment bytes, plus one so empty
+    segments still spread across workers."""
+    data = _first_field(block)
+    return (len(data) if isinstance(data, (bytes, bytearray)) else 0) + 1
+
+
+def _deal(blocks, cost, n_workers: int):
+    """Deal ``(index, block)`` items to workers by predicted cost.
+
+    Longest processing time first: blocks in decreasing ``cost`` order
+    (ties in index order), each to the least-loaded worker so far.  The
+    deal is deterministic and every index lands in exactly one share;
+    results still return in index order, so it cannot change bytes.  A
+    single worker (or block) gets one share in index order.
+    """
+    indexed = list(enumerate(blocks))
     if n_workers == 1 or len(indexed) <= 1:
-        return [list(indexed)]
-    return [list(s) for s in scheduler(indexed, n_workers)]
+        return [indexed]
+    costs = [cost(block) for block in blocks]
+    deal = longest_processing_time(range(len(indexed)), n_workers,
+                                   costs.__getitem__)
+    return [[indexed[i] for i in share] for share in deal]
 
 
 def parallel_encode_blocks(
     blocks: Sequence[Tuple[np.ndarray, str]],
     n_workers: int = 1,
-    scheduler=staggered_round_robin,
     tracer=None,
     backend=None,
 ) -> List[EncodedBlock]:
     """Tier-1 code every block on a worker pool.
 
-    ``blocks`` are ``(coefficients, orientation)`` pairs in scan order;
-    the scheduler (default: the paper's staggered round robin) deals them
-    to workers.  Results return in the input order regardless of the
-    schedule or backend.  ``tracer`` records one ``tier-1 encode pool``
-    phase with one task per code-block (worker id from the schedule).
+    ``blocks`` are ``(coefficients, orientation)`` pairs in scan order,
+    dealt to workers by predicted cost (samples x magnitude bit-planes,
+    longest first).  Results return in the input order regardless of
+    the deal or backend.  ``tracer`` records one ``tier-1 encode pool``
+    phase with one task per code-block (worker id from the deal).
     """
     if n_workers < 1:
         raise ValueError("need at least one worker")
@@ -223,17 +261,17 @@ def parallel_encode_blocks(
         # Inside the try: anything raising between pool creation and the
         # finally (a bad ``blocks`` iterable included) must still close
         # an owned pool.
-        indexed = list(enumerate(blocks))
+        blocks = list(blocks)
 
         def run(ph):
-            shares = _shares(indexed, scheduler, bk.n_workers)
-            return bk.map_shares("encode", shares, len(indexed), ph=ph, label="cb")
+            shares = _deal(blocks, _encode_cost, bk.n_workers)
+            return bk.map_shares("encode", shares, len(blocks), ph=ph, label="cb")
 
         if tracer is None:
             results, errors = run(None)
         else:
             with tracer.phase(
-                "tier-1 encode pool", n_blocks=len(indexed), backend=bk.name
+                "tier-1 encode pool", n_blocks=len(blocks), backend=bk.name
             ) as ph:
                 results, errors = run(ph)
     finally:
@@ -251,7 +289,6 @@ def parallel_encode_blocks(
 def parallel_decode_blocks(
     blocks: Sequence[Tuple[bytes, Tuple[int, int], str, int, Optional[int]]],
     n_workers: int = 1,
-    scheduler=staggered_round_robin,
     on_error: str = "raise",
     stats=None,
     tracer=None,
@@ -261,7 +298,8 @@ def parallel_decode_blocks(
     """Tier-1 decode every block on a worker pool (decoder-side twin of
     :func:`parallel_encode_blocks`).
 
-    ``blocks`` are ``(data, shape, orient, n_planes, n_passes)`` tuples;
+    ``blocks`` are ``(data, shape, orient, n_planes, n_passes)`` tuples,
+    dealt to workers by predicted cost (segment bytes, longest first);
     results return in input order.  Code-block *decoding* is just as
     independent as encoding -- the extension study
     (``repro.experiments.ext_decoder``) quantifies the resulting scaling.
@@ -292,17 +330,17 @@ def parallel_decode_blocks(
         raise ValueError(f"on_error must be 'raise' or 'conceal', got {on_error!r}")
     bk, owned = resolve_backend(backend, n_workers)
     try:
-        indexed = list(enumerate(blocks))
+        blocks = list(blocks)
 
         def run(ph):
-            shares = _shares(indexed, scheduler, bk.n_workers)
-            return bk.map_shares("decode", shares, len(indexed), ph=ph, label="cb")
+            shares = _deal(blocks, _decode_cost, bk.n_workers)
+            return bk.map_shares("decode", shares, len(blocks), ph=ph, label="cb")
 
         if tracer is None:
             results, errors = run(None)
         else:
             with tracer.phase(
-                "tier-1 decode pool", n_blocks=len(indexed), backend=bk.name
+                "tier-1 decode pool", n_blocks=len(blocks), backend=bk.name
             ) as ph:
                 results, errors = run(ph)
     finally:

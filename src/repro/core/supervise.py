@@ -16,9 +16,10 @@ have produced.  :class:`SupervisedBackend` wraps any
    deterministic exponential backoff, up to ``max_retries`` per rung;
 3. when retries exhaust, step down the degradation ladder
    ``processes -> serial`` (sticky for the rest of the wrapper's
-   life) instead of failing the image.  The serial rung cannot preempt
-   a running kernel: it checks the deadline between units, so only the
-   process rung recovers from a hang;
+   life) instead of failing the image.  A kernel running in the calling
+   process cannot be preempted -- every sweep slab, and every unit on
+   the serial rung, checks the deadline between units -- so only the
+   process rung recovers from a hung tier-1 share;
 4. at the bottom of the ladder, surface persistent *kernel* errors the
    same way the unsupervised backends do (map items go into the
    ``errors`` list for downstream concealment, sweep failures raise),
@@ -382,9 +383,9 @@ class SupervisedBackend(ExecutionBackend):
 
         def run(bk, units, timeout):
             want = set(units)
-            # Keep the original (paper-staggered) deal, filtered to the
-            # still-pending items; order within a share is preserved so
-            # execution order -- hence fault determinism -- is stable.
+            # Keep the original deal, filtered to the still-pending
+            # items; order within a share is preserved so execution
+            # order -- hence fault determinism -- is stable.
             sub = [
                 [(i, payloads[i]) for i in idxs if i in want]
                 for idxs in deal

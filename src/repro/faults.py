@@ -28,12 +28,14 @@ exactly-once soak in ``tests/test_serve_client.py`` drives the
 a kernel raising (``exc``), a worker wedging (``hang``), or a worker
 being killed outright (``kill`` -- a real ``os._exit`` in a process
 worker, a :class:`~repro.core.backend.WorkerDeath` when the unit runs in
-the calling thread, as on the serial rung).
+the calling thread, as every sweep slab and every unit on the serial
+rung does).
 :class:`ComputeFault` names the exact call and unit that misbehaves, so
 a fault schedule is as reproducible as a ``FaultSpec``;
 :class:`FaultyBackend` injects the schedule into any execution backend
 by swapping in chaos kernels (``repro.faults:_chaos_sweep`` /
-``_chaos_item``) that the worker process resolves by dotted name.  The
+``_chaos_item``) that the backend resolves by dotted name, in a worker
+process for a pooled share.  The
 supervision layer (:mod:`repro.core.supervise`) is differential-tested
 against these schedules: under any of them the supervised run must emit
 the byte-identical codestream the serial backend produces.
@@ -346,8 +348,8 @@ def _trigger(chaos: Dict[str, Any]) -> None:
 def _chaos_sweep(srcs, outs, a, b, extra) -> None:
     """Sweep kernel wrapper: trigger on the target slab, then delegate.
 
-    Resolved by workers as ``repro.faults:_chaos_sweep`` via the dotted
-    kernel lookup, so it works under both fork and spawn.
+    Resolved as ``repro.faults:_chaos_sweep`` via the dotted kernel
+    lookup.
     """
     chaos = extra["__chaos__"]
     if tuple(chaos["target"]) == (a, b):

@@ -14,8 +14,8 @@ it observes, charges one sample to
 Process workers are outside ``sys._current_frames()``, so the process
 execution backend ships samples instead: when a profiler is
 :meth:`attached <SamplingProfiler.attach>` to a
-:class:`~repro.core.backend.ProcessesBackend`, every sweep slab / item
-share runs under a worker-side :class:`FunctionSampler` and the sample
+:class:`~repro.core.backend.ProcessesBackend`, every item share runs
+under a worker-side :class:`FunctionSampler` and the sample
 table comes back over the pipe next to the busy-seconds measurement
 that already feeds the :class:`~repro.obs.tracer.TaskRecord` timeline.
 :meth:`SamplingProfiler.stop` drains those tables into the merged view.
@@ -392,19 +392,6 @@ class SamplingProfiler:
 # picklable by name) and resolved only when a profiler is attached, so
 # the normal path never imports this module.
 # ---------------------------------------------------------------------------
-
-
-def proc_sweep_profiled(kernel, src_descs, out_descs, a, b, extra, hz):
-    """`repro.core.backend._proc_sweep` under a worker-side sampler.
-
-    Returns ``(busy_seconds, sample_table)``.
-    """
-    from ..core.backend import _proc_sweep
-
-    sampler = FunctionSampler(hz=hz, span=kernel)
-    with sampler:
-        busy = _proc_sweep(kernel, src_descs, out_descs, a, b, extra)
-    return busy, sampler.table()
 
 
 def proc_share_profiled(kernel, share, hz):

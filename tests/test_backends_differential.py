@@ -11,6 +11,8 @@ The fast subset runs by default; the larger seeded matrix is marked
 
 from __future__ import annotations
 
+import os
+
 import numpy as np
 import pytest
 
@@ -90,15 +92,19 @@ class TestCodestreamIdentity:
 
     @pytest.mark.parametrize("n_workers", [2, 3, 5])
     def test_worker_count_invariance(self, n_workers):
-        """Byte-identity holds for every pool width, not just 2."""
+        """Byte-identity holds for every pool width, not just 2: the
+        cost-ordered deal of tier-1 blocks moves no byte on either side."""
         img = seeded_image(31, 61, 96, kind="noise")
         params = _params(3, 16, "5/3")
         reference = encode_bytes(img, params, backend="serial")
+        decoded = decode_image(reference)
         for name in ("serial", "processes"):
             data = encode_bytes(
                 img, params, backend=name, n_workers=n_workers
             )
             assert data == reference, (name, n_workers)
+            out = decode_image(reference, backend=name, n_workers=n_workers)
+            assert np.array_equal(out, decoded), (name, n_workers)
 
     def test_tiled_stream_identical(self, process_backend):
         """Tiling multiplies the barrier phases; identity must survive."""
@@ -152,6 +158,42 @@ class TestStageEquivalence:
             assert got.cycles == ref.cycles
             assert tuple(got.per_cpu_cycles) == tuple(ref.per_cpu_cycles)
             assert got.total_ops == ref.total_ops
+
+
+def _record_pid(srcs, outs, a, b, extra) -> None:
+    """Sweep kernel: stamp the pid of the process running slab ``[a:b)``."""
+    outs[0][a:b] = os.getpid()
+
+
+class TestSweepsInParent:
+    """The processes backend ships only tier-1 shares; every sweep runs
+    in the calling process, with no shared-memory transport."""
+
+    def test_sweep_kernels_run_in_calling_process(self, process_backend):
+        src = np.zeros(8)
+        out = np.zeros(8, dtype=np.int64)
+        process_backend.sweep("tests.test_backends_differential:_record_pid",
+                              (src,), (out,), [(0, 4), (4, 8)], {})
+        assert set(out.tolist()) == {os.getpid()}
+
+    def test_codec_creates_no_shared_memory(self, monkeypatch, process_backend):
+        from multiprocessing import shared_memory
+
+        created = []
+
+        class Recording(shared_memory.SharedMemory):
+            def __init__(self, *args, **kwargs):
+                created.append((args, kwargs))
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(shared_memory, "SharedMemory", Recording)
+        img = seeded_image(33, 64, 64, kind="edges")
+        params = _params(3, 16, "9/7")
+        data = encode_bytes(img, params, backend=process_backend, n_workers=2)
+        assert data == encode_bytes(img, params, backend="serial")
+        out = decode_image(data, n_workers=2, backend=process_backend)
+        assert np.array_equal(out, decode_image(data))
+        assert created == []
 
 
 class TestDeterminism:

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import asyncio
 import base64
+import gc
 import json
 import logging
 import threading
@@ -380,6 +381,24 @@ class TestServer:
         # is built -- not later, inside ``start()``.
         with pytest.raises(ValueError, match="options: serial, processes"):
             CodecServer(_serve_config(backend=name))
+
+    def test_start_freezes_heap_until_stop(self):
+        """The start-up heap is frozen for the server's life, so no full
+        collection rescans it inside a request."""
+        async def main():
+            server = CodecServer(_serve_config())
+            await server.start()
+            try:
+                frozen = gc.get_freeze_count()
+                enc = await server.submit("encode", _image(), _params())
+            finally:
+                await server.stop()
+            return frozen, enc
+
+        assert gc.get_freeze_count() == 0
+        frozen, enc = asyncio.run(main())
+        assert frozen > 0 and isinstance(enc, Completed)
+        assert gc.get_freeze_count() == 0
 
 
 async def _bad_op():

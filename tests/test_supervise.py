@@ -533,7 +533,11 @@ class TestErrorContract:
             if supervise:
                 got = run()
             else:
-                death = BrokenProcessPool if name == "processes" else WorkerDeath
+                # Only map shares leave the calling process: a killed
+                # pool worker breaks the pool, a "killed" sweep slab (or
+                # serial share) runs in-process and raises WorkerDeath.
+                pooled = name == "processes" and op == "map"
+                death = BrokenProcessPool if pooled else WorkerDeath
                 with pytest.raises(death):
                     run()
                 got = run()  # the kill is spent; the rung still works
