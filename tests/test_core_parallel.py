@@ -15,7 +15,7 @@ from repro.core.parallel import _deal, _decode_cost, _encode_cost
 from repro.ebcot import encode_codeblock
 from repro.image import SyntheticSpec, synthetic_image
 from repro.quant import quantize
-from repro.smp import schedule_makespan, staggered_round_robin
+from repro.smp import round_robin, schedule_makespan, staggered_round_robin
 from repro.wavelet import dwt2d, idwt2d
 
 
@@ -82,9 +82,12 @@ class TestParallelBlocks:
         return out
 
     @pytest.mark.parametrize("workers", [1, 2, 4])
-    def test_matches_serial_in_order(self, workers):
+    @pytest.mark.parametrize("scheduler", [staggered_round_robin, round_robin])
+    def test_matches_serial_in_order(self, workers, scheduler):
+        # The pool deals by predicted cost, not by position: blocks fed in
+        # a scheduler's interleaved order still come back in that order.
         rng = np.random.default_rng(5)
-        blocks = self._blocks(rng, 13)
+        blocks = [b for share in scheduler(self._blocks(rng, 13), 3) for b in share]
         serial = [encode_codeblock(c, o) for c, o in blocks]
         par = parallel_encode_blocks(blocks, n_workers=workers)
         assert len(par) == len(serial)
