@@ -33,14 +33,7 @@ from .image import (
 )
 from .codec import CodecParams, DecodeReport, encode_image, decode_image
 from .wavelet import dwt2d, idwt2d, Subbands, VerticalStrategy
-from .core import (
-    parallel_dwt2d,
-    parallel_idwt2d,
-    parallel_encode_blocks,
-    parallel_decode_blocks,
-    parallel_quantize,
-    amdahl_speedup,
-)
+from .core import parallel_encode_blocks, parallel_decode_blocks, amdahl_speedup
 from .smp import INTEL_SMP, SGI_POWER_CHALLENGE, SimulatedSMP, MachineSpec
 from .perf import simulate_encode, Workload, scaled_workload, measure_pixel_stats
 from .baselines import jpeg_encode, jpeg_decode, spiht_encode, spiht_decode
@@ -85,11 +78,8 @@ __all__ = [
     "idwt2d",
     "Subbands",
     "VerticalStrategy",
-    "parallel_dwt2d",
-    "parallel_idwt2d",
     "parallel_encode_blocks",
     "parallel_decode_blocks",
-    "parallel_quantize",
     "amdahl_speedup",
     "INTEL_SMP",
     "SGI_POWER_CHALLENGE",

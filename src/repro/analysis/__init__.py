@@ -1,21 +1,14 @@
-"""Static analysis and runtime race detection for the execution substrate.
+"""Static analysis for the execution substrate.
 
-The codec's whole cross-backend story rests on two invariants that are
-easy to break silently while refactoring:
+The codec's cross-backend story rests on static contracts that are easy
+to break silently while refactoring: kernels handed to the process
+backend must be picklable module-level functions, worker kernels must
+be pure, pools must be closed on every exit path, the byte-producing
+modules must be deterministic, and observability must stay zero-cost
+when disabled.  :mod:`repro.analysis.lint` machine-checks these at lint
+time with a small AST rule engine (``repro lint``).
 
-- **static contracts** -- kernels handed to the process backend must be
-  picklable module-level functions, worker kernels must be pure, pools
-  must be closed on every exit path, the byte-producing modules must be
-  deterministic, and observability must stay zero-cost when disabled.
-  :mod:`repro.analysis.lint` machine-checks these at lint time with a
-  small AST rule engine (``repro lint``).
-- **disjoint writes** -- every barrier-sweep slab and every tier-1
-  result slot must be written by exactly one concurrent unit, or the
-  "bit-identical across backends" guarantee is fiction.
-  :mod:`repro.analysis.races` checks this at run time with a
-  write-tracking wrapper backend (``repro races``).
-
-Both are development/CI tools: nothing in this package is imported by
+This is a development/CI tool: nothing in this package is imported by
 the codec hot paths.
 """
 
@@ -27,12 +20,6 @@ from .lint import (  # noqa: F401
     load_baseline,
     run_lint,
 )
-from .races import (  # noqa: F401
-    RaceDetectorBackend,
-    RaceError,
-    RaceFinding,
-    RaceReport,
-)
 
 __all__ = [
     "DEFAULT_RULES",
@@ -41,8 +28,4 @@ __all__ = [
     "Rule",
     "load_baseline",
     "run_lint",
-    "RaceDetectorBackend",
-    "RaceError",
-    "RaceFinding",
-    "RaceReport",
 ]

@@ -365,7 +365,7 @@ class PoolLifecycleRule(Rule):
         "get_backend", "resolve_backend", "supervised",
         "ThreadPoolExecutor", "ProcessPoolExecutor", "Pool",
         "ProcessesBackend", "SupervisedBackend",
-        "FaultyBackend", "RaceDetectorBackend",
+        "FaultyBackend",
     }
     _CLOSERS = {"close", "shutdown", "terminate", "rebuild"}
 

@@ -112,8 +112,8 @@ class PoolCache:
     BENCH medians partly a fork benchmark.  A suite-scoped cache hands
     every scenario of the same cell the same warm pool; ``creations``
     counts actual constructions so the regression test can pin
-    "one pool per cell" down.  ``wrap_backend`` (chaos wrappers, race
-    detectors) is applied once at construction, so persistent fault
+    "one pool per cell" down.  ``wrap_backend`` (chaos wrappers) is
+    applied once at construction, so persistent fault
     schedules survive across scenarios exactly as they did per-run.
     """
 
@@ -259,7 +259,7 @@ def run_suite(
     """Run the scenario suite and assemble a :class:`TrajectoryRun`.
 
     ``wrap_backend(backend) -> backend`` decorates every warm pool once
-    at construction (chaos wrappers, race detectors); pools are shared
+    at construction (chaos wrappers); pools are shared
     per ``(backend, workers)`` cell across the whole suite and closed
     when the suite finishes.
     """

@@ -14,7 +14,6 @@ Usage::
     python -m repro trace  encode test.pgm --trace-out t.json --format chrome
     python -m repro trace  decode out.rj2k --workers 4 --format table
     python -m repro lint   [paths ...] [--strict] [--baseline FILE]
-    python -m repro races  [--backend serial|processes] [--workers 4]
     python -m repro experiments [--quick] [-o EXPERIMENTS.md]
     python -m repro bench run [--quick] [--dir D] [--label TEXT]
     python -m repro bench compare [--tolerant] [--baseline FILE]
@@ -342,46 +341,11 @@ def _cmd_lint(args: argparse.Namespace) -> int:
     return 0 if result.ok else 1
 
 
-def _cmd_races(args: argparse.Namespace) -> int:
-    """Encode+decode a synthetic image under the shared-array race
-    detector; verify the detector is transparent (bytes unchanged)."""
-    from .analysis.races import RaceDetectorBackend, RaceError
-    from .core.backend import get_backend
-
-    img = synthetic_image(SyntheticSpec(args.side, args.side, "mix", seed=args.seed))
-    params = CodecParams(
-        levels=args.levels,
-        filter_name="5/3" if args.lossless else "9/7",
-        cb_size=args.cb_size,
-        target_bpp=tuple(args.bpp) if args.bpp else None,
-        tile_size=args.tile_size,
-    )
-    reference = encode_image(img, params).data
-    det = RaceDetectorBackend(get_backend(args.backend, args.workers))
-    try:
-        result = encode_image(img, params, backend=det, n_workers=args.workers)
-        decode_image(result.data, backend=det, n_workers=args.workers)
-    except RaceError as exc:
-        print(exc.report.summary())
-        print(f"RACE: {exc}")
-        return 1
-    finally:
-        det.close()
-    print(det.report.summary())
-    identical = result.data == reference
-    print(
-        f"verdict : {'race-free, byte-identical to serial reference OK' if identical else 'MISMATCH vs serial reference'}"
-        f" ({len(result.data)} bytes, backend={args.backend}, "
-        f"workers={args.workers})"
-    )
-    return 0 if identical else 1
-
-
 def _bench_wrap_backend(handicaps):
     """A ``wrap_backend`` hook injecting persistent compute faults.
 
     Used to self-test the regression gate: ``repro bench compare
-    --handicap hang:sweep:0:0:0.05`` must exit nonzero on an otherwise
+    --handicap hang:map:0:0:0.05:p`` must exit nonzero on an otherwise
     unchanged tree.
     """
     if not handicaps:
@@ -870,7 +834,7 @@ def build_parser() -> argparse.ArgumentParser:
     fex.add_argument(
         "--fault", action="append", required=True, metavar="SPEC",
         help="compute-fault spec kind[:op[:call[:unit[:arg[:persistent]]]]], "
-        "e.g. kill:map:0:0 or exc:sweep:1 or hang:map:0:0:0.2 "
+        "e.g. kill:map:0:0 or exc:map:1 or hang:map:0:0:0.2 "
         "(repeatable)",
     )
     fex.add_argument("--lossless", action="store_true")
@@ -901,29 +865,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="accept all current findings into the baseline file",
     )
     lnt.set_defaults(fn=_cmd_lint)
-
-    rcs = sub.add_parser(
-        "races",
-        help="encode+decode under the shared-array race detector",
-    )
-    rcs.add_argument("--side", type=int, default=64, help="synthetic image side")
-    rcs.add_argument("--seed", type=int, default=0)
-    rcs.add_argument("--lossless", action="store_true")
-    rcs.add_argument("--levels", type=int, default=3)
-    rcs.add_argument("--cb-size", type=int, default=32)
-    rcs.add_argument("--bpp", type=float, nargs="*", default=None)
-    rcs.add_argument("--tile-size", type=int, default=0)
-    rcs.add_argument(
-        "--workers", type=int, default=4,
-        help="workers for the parallel stages (races need >= 2 units)",
-    )
-    from .core.backend import BACKEND_NAMES
-
-    rcs.add_argument(
-        "--backend", choices=BACKEND_NAMES, default="serial",
-        help="execution backend to wrap",
-    )
-    rcs.set_defaults(fn=_cmd_races)
 
     exp = sub.add_parser("experiments", help="regenerate EXPERIMENTS.md")
     exp.add_argument("--quick", action="store_true")
@@ -978,7 +919,7 @@ def build_parser() -> argparse.ArgumentParser:
             "--handicap", action="append", default=None, metavar="SPEC",
             help="wrap every scenario backend in a FaultyBackend with this "
             "compute-fault spec (repeatable; self-test of the gate), "
-            "e.g. hang:sweep:0:0:0.05:p",
+            "e.g. hang:map:0:0:0.05:p",
         )
     for p in (brun, bcmp, brep):
         p.add_argument(

@@ -80,13 +80,12 @@ def decode_image(
         spans (mirroring the encoder's Fig.-3 names) and per-worker
         tier-1 task records.  ``None`` (default) allocates no spans.
     backend:
-        Execution backend for the parallel stages --
+        Execution backend for tier-1 decoding --
         ``serial``/``processes`` or a live
         :class:`~repro.core.backend.ExecutionBackend`.  ``None``
-        (default) runs the shares on ``serial``.  With an explicit
-        backend the inverse DWT sweeps run on it too.  The
-        decoded image is bit-identical for every backend and worker
-        count.
+        (default) runs the shares on ``serial``; the inverse DWT runs
+        in the calling process on every backend.  The decoded image is
+        bit-identical for every backend and worker count.
     supervise:
         ``True`` or a :class:`~repro.core.supervise.SupervisionPolicy`:
         run the backend's parallel stages fault-tolerantly (retries,
@@ -551,17 +550,7 @@ def _decode_tile_staged(
         ll=ll, details=details, shape=(tile_h, tile_w), filter_name=params.filter_name
     )
     stages.switch("intra-component transform")
-    if backend is None:
-        rec = idwt2d(sb)
-    else:
-        # The inverse sweeps are bit-identical on every backend; reuse
-        # the requested one so decode scales like encode.
-        from ..core.parallel import parallel_idwt2d
-
-        rec = parallel_idwt2d(
-            sb, n_workers=n_workers, tracer=tracer, backend=backend
-        )
-    return np.asarray(rec, dtype=np.float64)
+    return np.asarray(idwt2d(sb), dtype=np.float64)
 
 
 def _midpoint_int(values: np.ndarray, last_plane: int) -> np.ndarray:

@@ -127,13 +127,12 @@ def encode_image(
     per stage with the work counters attached; ``None`` (the default)
     allocates no spans.
 
-    ``n_workers``/``backend`` run the two parallel stages of the paper
-    -- the DWT sweeps and tier-1 code-block coding -- on an execution
-    backend (``serial``/``processes``, or a live
+    ``n_workers``/``backend`` run tier-1 code-block coding on an
+    execution backend (``serial``/``processes``, or a live
     :class:`~repro.core.backend.ExecutionBackend`; ``None`` means
-    ``serial``).  The codestream is
-    byte-identical for every backend and worker count: the static
-    partition only re-orders independent work (enforced by the
+    ``serial``); the DWT runs in the calling process on every backend.
+    The codestream is byte-identical for every backend and worker
+    count: the deal only re-orders independent work (enforced by the
     differential test harness).
 
     ``supervise`` (``True`` or a
@@ -269,15 +268,7 @@ def _encode_image_impl(
         tile = _tile_views(planes[comp], params.tile_size)[tile_index][1]
         with report.timed("intra-component transform") as st:
             eff_levels = params.effective_levels(*tile.shape)
-            if bk is None:
-                subbands = dwt2d(tile, eff_levels, params.filter_name)
-            else:
-                from ..core.parallel import parallel_dwt2d
-
-                subbands = parallel_dwt2d(
-                    tile, eff_levels, params.filter_name,
-                    tracer=tracer, backend=bk,
-                )
+            subbands = dwt2d(tile, eff_levels, params.filter_name)
             st.add_work(
                 samples=tile.size,
                 dwt_geometry=[(tile.shape[0], tile.shape[1], eff_levels)],

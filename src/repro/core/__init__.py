@@ -4,8 +4,9 @@ Three parallelization techniques (Sec. 3) over the codec substrates:
 
 1. **Parallel wavelet transform** -- static partition of the image data
    across CPUs with a barrier between the vertical and horizontal
-   filtering of every decomposition level
-   (:func:`repro.core.parallel.parallel_dwt2d`).
+   filtering of every decomposition level.  Simulated only
+   (:mod:`repro.smp`, Figs. 6--11): the real DWT is one code path,
+   :func:`repro.wavelet.dwt2d`, on every backend.
 2. **Parallel code-block coding** -- tier-1 over a worker pool, blocks
    dealt longest-predicted-cost first (the paper's staggered round robin
    stays in the simulator, :mod:`repro.smp`)
@@ -14,12 +15,12 @@ Three parallelization techniques (Sec. 3) over the codec substrates:
    order (modelled by :mod:`repro.cachesim`; numerically witnessed by
    :func:`repro.wavelet.strategies.filter_columns_chunked`).
 
-The *real* parallel implementations here (on the ``serial`` or
-``processes`` execution backend) are numerically exact (tested against
-the serial paths); their wall clock on the host is context, not the
-paper's result, so all performance results are produced on the
-simulated SMP via :func:`repro.core.study.run_parallel_study` and
-related drivers -- see DESIGN.md's substitution table.
+The *real* tier-1 pool here (on the ``serial`` or ``processes``
+execution backend) is numerically exact (tested against the serial
+path); its wall clock on the host is context, not the paper's result,
+so all performance results are produced on the simulated SMP via
+:func:`repro.core.study.run_parallel_study` and related drivers -- see
+DESIGN.md's substitution table.
 
 :mod:`repro.core.amdahl` implements the Sec. 3.4 theoretical-speedup
 analysis; :mod:`repro.core.speedup` the speedup bookkeeping used by every
@@ -45,13 +46,7 @@ from .supervise import (
 )
 from .amdahl import amdahl_speedup, serial_fraction, theoretical_speedup_from_breakdown
 from .speedup import SpeedupSeries, speedup_curve, efficiency
-from .parallel import (
-    parallel_dwt2d,
-    parallel_idwt2d,
-    parallel_encode_blocks,
-    parallel_decode_blocks,
-    parallel_quantize,
-)
+from .parallel import parallel_encode_blocks, parallel_decode_blocks
 from .study import (
     StudyConfig,
     run_parallel_study,
@@ -80,11 +75,8 @@ __all__ = [
     "SpeedupSeries",
     "speedup_curve",
     "efficiency",
-    "parallel_dwt2d",
-    "parallel_idwt2d",
     "parallel_encode_blocks",
     "parallel_decode_blocks",
-    "parallel_quantize",
     "StudyConfig",
     "run_parallel_study",
     "serial_profile",

@@ -1,10 +1,9 @@
-"""Pluggable execution backends for the real parallel stages.
+"""Pluggable execution backends for the real tier-1 worker pool.
 
-The paper's two headline parallel structures -- the barrier-synchronized
-DWT sweeps of Sec. 3.2 and the tier-1 code-block worker pool of
-Sec. 3.3 -- are *structurally* independent of how a "worker" is
-realized.  This module factors that choice out of
-:mod:`repro.core.parallel` into two interchangeable backends:
+The paper's tier-1 code-block worker pool (Sec. 3.3) is *structurally*
+independent of how a "worker" is realized.  This module factors that
+choice out of :mod:`repro.core.parallel` into two interchangeable
+backends:
 
 - ``serial``    -- everything in the calling thread (the reference and
   the implicit default).
@@ -15,40 +14,32 @@ realized.  This module factors that choice out of
   Python, so a thread pool ran slower than ``serial`` on every measured
   input and was removed.
 
-Barrier sweeps (DWT/IDWT filtering, quantization chunks) run in the
-calling process on *every* backend.  A sweep round trip through the
-pool cost ~0.83 ms even when empty, and a 5-level DWT makes 15 of them:
-measured on 2 CPUs, the pool's DWT lost to the in-place one at every
-size, 1024 x 1024 included (139 ms against 62 ms).  The paper's parallel
-DWT is still reproduced by the simulator in :mod:`repro.smp`.
+The DWT does not go through a backend: :func:`repro.wavelet.dwt2d` /
+:func:`~repro.wavelet.idwt2d` run in the calling process on every
+backend.  A sweep round trip through the pool cost ~0.83 ms even when
+empty, and a 5-level DWT makes 15 of them, so the pool's DWT lost to
+the in-place one at every measured size.  The paper's parallel DWT
+(Sec. 3.2) is reproduced by the simulator in :mod:`repro.smp`.
 
-Every backend executes the *same* static partition in the *same* order
-per worker, so results are bit-identical across backends (enforced by
-``tests/test_backends_differential.py``).  Both feed per-worker
+A backend carries one primitive, ``map_shares``: independent items
+(code-blocks, simulated-SMP task lists) already dealt into per-worker
+shares, run by a named kernel from :data:`ITEM_KERNELS`.  Per-item
+exceptions are captured, so fault isolation is identical for every
+backend, and both backends feed per-worker
 :class:`~repro.obs.tracer.TaskRecord` timelines through an optional
 :class:`~repro.obs.tracer.PhaseRecorder`, so ``amdahl_report`` and the
-worker-timeline exporters can compare backends directly.
+worker-timeline exporters can compare backends directly.  Results
+are bit-identical across backends (enforced by
+``tests/test_backends_differential.py``).
 
-Both parallel shapes have one execution path, a best-effort *attempt*
-that never raises on a worker failure and reports every unit's outcome
-in an :class:`Attempt`:
-
-``sweep_attempt``
-    One barrier-synchronized filtering/quantization sweep: a named
-    kernel applied to static ``(a, b)`` slabs of source/output arrays,
-    in the calling thread.  Kernels are registered module-level
-    functions (resolvable by name) in :data:`SWEEP_KERNELS`.
-``map_shares_attempt``
-    Independent items (code-blocks, simulated-SMP task lists) already
-    dealt into per-worker shares; per-item exceptions are captured, so
-    fault isolation is identical for every backend.  This is the one
-    abstract method.
-
-:meth:`ExecutionBackend.sweep` and :meth:`ExecutionBackend.map_shares`,
-which every call site uses, are defined once on the base class as "one
+The execution path is a best-effort *attempt*,
+:meth:`ExecutionBackend.map_shares_attempt` (the one abstract method),
+that never raises on a worker failure and reports every item's outcome
+in an :class:`Attempt`.  :meth:`ExecutionBackend.map_shares`, which
+every call site uses, is defined once on the base class as "one
 attempt without a deadline, then raise or collect";
 :class:`~repro.core.supervise.SupervisedBackend` implements the attempt
-pair as its retry loop, so supervised and unsupervised runs execute the
+as its retry loop, so supervised and unsupervised runs execute the
 same code.
 """
 
@@ -62,12 +53,7 @@ from concurrent.futures import BrokenExecutor, ProcessPoolExecutor, wait
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
-import numpy as np
-
 from ..ebcot.t1 import decode_codeblock, encode_codeblock
-from ..quant.deadzone import quantize
-from ..wavelet.filters import get_filter
-from ..wavelet.lifting import dwt1d, idwt1d
 
 __all__ = [
     "BACKEND_NAMES",
@@ -79,7 +65,6 @@ __all__ = [
     "get_backend",
     "resolve_backend",
     "resolve_item_kernel",
-    "resolve_sweep_kernel",
 ]
 
 
@@ -87,10 +72,10 @@ class WorkerDeath(BaseException):
     """A worker vanished mid-task while running in the calling thread.
 
     The chaos harness (:class:`repro.faults.FaultyBackend`) raises this
-    for an injected ``kill`` fault wherever a unit runs in the calling
-    process -- every sweep, and every share on the ``serial`` rung or a
-    one-worker ``processes`` backend -- where a real ``os._exit`` would
-    take the whole interpreter down.  It subclasses
+    for an injected ``kill`` fault wherever a share runs in the calling
+    process -- on the ``serial`` rung or a one-worker ``processes``
+    backend -- where a real ``os._exit`` would take the whole
+    interpreter down.  It subclasses
     :class:`BaseException` on purpose: the per-unit fault
     capture of the in-thread attempts must *not* treat a dead worker
     like an ordinary kernel exception -- worker death aborts the attempt
@@ -105,33 +90,8 @@ BACKEND_NAMES = ("serial", "processes")
 # ---------------------------------------------------------------------------
 # Kernels.  Module-level and referenced by *name* so the process backend
 # can resolve item kernels after pickling (and under the spawn start
-# method), and wrappers can substitute sweep kernels by name.
+# method), and wrappers can substitute kernels by name.
 # ---------------------------------------------------------------------------
-
-
-def _kernel_dwt(srcs, outs, a, b, extra) -> None:
-    """Forward 1-D DWT of column slab ``[a:b)``: srcs=(data,), outs=(low, high)."""
-    lo, hi = dwt1d(srcs[0][:, a:b], get_filter(extra["filter"]))
-    outs[0][:, a:b] = lo
-    outs[1][:, a:b] = hi
-
-
-def _kernel_idwt(srcs, outs, a, b, extra) -> None:
-    """Inverse 1-D DWT of column slab ``[a:b)``: srcs=(low, high), outs=(out,)."""
-    outs[0][:, a:b] = idwt1d(srcs[0][:, a:b], srcs[1][:, a:b], get_filter(extra["filter"]))
-
-
-def _kernel_quantize(srcs, outs, a, b, extra) -> None:
-    """Dead-zone quantize flat chunk ``[a:b)``: srcs=(flat,), outs=(qflat,)."""
-    outs[0][a:b] = quantize(srcs[0][a:b], extra["step"])
-
-
-#: Barrier-sweep kernels by name.
-SWEEP_KERNELS = {
-    "dwt": _kernel_dwt,
-    "idwt": _kernel_idwt,
-    "quantize": _kernel_quantize,
-}
 
 
 def _item_encode(payload):
@@ -164,15 +124,15 @@ ITEM_KERNELS = {
 }
 
 
-def _resolve_named(table: Dict[str, Any], name: str):
-    """A registered kernel, or a ``module:attr`` dotted reference.
+def resolve_item_kernel(name: str):
+    """A registered item kernel, or a ``module:attr`` dotted reference.
 
-    Dotted names let other modules (the chaos wrappers in
+    Dotted names let other modules (the chaos wrapper in
     :mod:`repro.faults`) contribute kernels without registering them
     here: the worker process resolves the module by import, which works
     under both the fork and spawn start methods.
     """
-    fn = table.get(name)
+    fn = ITEM_KERNELS.get(name)
     if fn is not None:
         return fn
     if ":" in name:
@@ -181,27 +141,16 @@ def _resolve_named(table: Dict[str, Any], name: str):
     raise KeyError(f"unknown kernel {name!r}")
 
 
-def resolve_sweep_kernel(name: str):
-    """Resolve a barrier-sweep kernel name (registered or ``module:attr``)."""
-    return _resolve_named(SWEEP_KERNELS, name)
-
-
-def resolve_item_kernel(name: str):
-    """Resolve an independent-item kernel name (registered or ``module:attr``)."""
-    return _resolve_named(ITEM_KERNELS, name)
-
-
 @dataclass
 class Attempt:
-    """Outcome of one best-effort sweep or map attempt.
+    """Outcome of one best-effort ``map_shares`` attempt.
 
-    Unit keys are ``(a, b)`` range tuples for sweeps and global item
-    indices for ``map_shares``.  ``results`` maps every unit that ran
-    cleanly to its value (``None`` for a sweep slab); ``failed`` holds
-    *kernel-level* exceptions (the unit ran and raised).  Units in
-    neither never finished -- the pool broke (``fatal``) or the deadline
-    expired underneath them -- and are safe to re-run because every unit
-    writes a disjoint output slab / result slot.
+    Units are global item indices.  ``results`` maps every item that ran
+    cleanly to its value; ``failed`` holds *kernel-level* exceptions
+    (the item ran and raised).  Items in neither never finished -- the
+    pool broke (``fatal``) or the deadline expired underneath them --
+    and are safe to re-run because every item lands in its own result
+    slot.
     """
 
     results: Dict[Any, Any] = field(default_factory=dict)
@@ -229,7 +178,7 @@ class ExecutionBackend(ABC):
     """How the static parallel decomposition gets executed.
 
     Instances are reusable across calls (the process backend keeps its
-    worker pool warm between sweeps) and must be :meth:`close`\\ d --
+    worker pool warm between maps) and must be :meth:`close`\\ d --
     or used as context managers -- when created directly.  The
     ``parallel_*`` entry points accept either a backend *name* (they
     create and close one per call) or a live instance (they leave its
@@ -261,32 +210,7 @@ class ExecutionBackend(ABC):
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"{type(self).__name__}(n_workers={self.n_workers})"
 
-    # -- the execution primitives -------------------------------------------
-
-    def sweep_attempt(
-        self,
-        kernel: str,
-        srcs: Sequence[np.ndarray],
-        outs: Sequence[np.ndarray],
-        ranges: Sequence[Tuple[int, int]],
-        extra: Dict[str, Any],
-        deadline: Optional[float] = None,
-        ph=None,
-        label: str = "cols",
-        size_attr: str = "columns",
-    ) -> Attempt:
-        """One best-effort pass of ``SWEEP_KERNELS[kernel]`` over slabs,
-        in range order in the calling thread on every backend.
-
-        Never raises on a kernel failure: the outcome of every slab is
-        reported in the returned :class:`Attempt`, so a supervisor can
-        re-run what is missing.  ``deadline`` (seconds, ``None`` = none)
-        bounds the attempt, checked between slabs; ``ph`` (a
-        :class:`~repro.obs.tracer.PhaseRecorder`) receives one task
-        record per non-empty slab that ran.
-        """
-        return _run_ranges(kernel, srcs, outs, ranges, extra, deadline, ph,
-                           label, size_attr)
+    # -- the execution primitive --------------------------------------------
 
     @abstractmethod
     def map_shares_attempt(
@@ -299,37 +223,18 @@ class ExecutionBackend(ABC):
     ) -> Attempt:
         """One best-effort pass of ``ITEM_KERNELS[kernel]`` over pre-dealt
         worker shares (``shares[w]`` is worker ``w``'s list of
-        ``(global_index, payload)`` items); same contract as
-        :meth:`sweep_attempt`, except that a pooled backend bounds the
-        attempt by ``deadline`` preemptively.  A failed item's task
-        record carries ``concealed=True``."""
+        ``(global_index, payload)`` items).
+
+        Never raises on a kernel failure: the outcome of every item is
+        reported in the returned :class:`Attempt`, so a supervisor can
+        re-run what is missing.  ``deadline`` (seconds, ``None`` = none)
+        bounds the attempt -- preemptively on a pooled backend, between
+        items in the calling thread; ``ph`` (a
+        :class:`~repro.obs.tracer.PhaseRecorder`) receives one task
+        record per item that ran, and a failed item's record carries
+        ``concealed=True``."""
 
     # -- the call-site API: one attempt, then raise or collect --------------
-
-    def sweep(
-        self,
-        kernel: str,
-        srcs: Sequence[np.ndarray],
-        outs: Sequence[np.ndarray],
-        ranges: Sequence[Tuple[int, int]],
-        extra: Dict[str, Any],
-        ph=None,
-        label: str = "cols",
-        size_attr: str = "columns",
-    ) -> None:
-        """Run one barrier sweep; returns after *every* slab finished.
-
-        A :class:`WorkerDeath` propagates; otherwise the kernel failure
-        of the first failing slab in range order does -- a sweep has no
-        concealment path.
-        """
-        att = self.sweep_attempt(kernel, srcs, outs, ranges, extra,
-                                 ph=ph, label=label, size_attr=size_attr)
-        if att.fatal is not None:
-            raise att.fatal
-        for a, b in ranges:
-            if (a, b) in att.failed:
-                raise att.failed[(a, b)]
 
     def map_shares(
         self,
@@ -359,47 +264,14 @@ class ExecutionBackend(ABC):
         return results, errors
 
 
-# -- in-thread execution ------------------------------------------------------
-#
-# The deadline is checked *between* units (an in-thread kernel cannot be
-# preempted) against an absolute ``stop_at`` on ``time.perf_counter``.
-
-
-def _stop_at(deadline: Optional[float]) -> Optional[float]:
-    return None if deadline is None else time.perf_counter() + deadline
-
-
-def _run_ranges(kernel, srcs, outs, ranges, extra, deadline, ph, label,
-                size_attr) -> Attempt:
-    """Run sweep slabs in order in the calling thread."""
-    fn = resolve_sweep_kernel(kernel)
-    stop_at = _stop_at(deadline)
-    att = Attempt()
-    for a, b in ranges:
-        if a != b:
-            if stop_at is not None and time.perf_counter() > stop_at:
-                att.timed_out = True
-                break
-            try:
-                if ph is not None:
-                    with ph.task(f"{label}[{a}:{b}]", **{size_attr: b - a}):
-                        fn(srcs, outs, a, b, extra)
-                else:
-                    fn(srcs, outs, a, b, extra)
-            except WorkerDeath as exc:
-                att.fatal = exc
-                break
-            except Exception as exc:
-                att.failed[(a, b)] = exc
-                continue
-        att.results[(a, b)] = None
-    return att
-
-
 def _run_shares(kernel, shares, deadline, ph, label) -> Attempt:
-    """Run every worker's share of items in order in the calling thread."""
+    """Run every worker's share of items in order in the calling thread.
+
+    The deadline is checked *between* items (an in-thread kernel cannot
+    be preempted).
+    """
     fn = resolve_item_kernel(kernel)
-    stop_at = _stop_at(deadline)
+    stop_at = None if deadline is None else time.perf_counter() + deadline
     att = Attempt()
     for w, i, payload in ((w, i, payload) for w, share in enumerate(shares)
                           for i, payload in share):
@@ -476,10 +348,7 @@ class ProcessesBackend(ExecutionBackend):
     """True multi-core execution of tier-1: a process pool of shares.
 
     Each worker's share of code-blocks is pickled to it in one call and
-    its results are pickled back.  Sweeps stay in the calling process
-    (the inherited :meth:`~ExecutionBackend.sweep_attempt`): a pool
-    round trip per sweep costs more than the whole DWT.  Worker busy
-    time is measured inside the worker and fed back into the phase
+    its results are pickled back.  Worker busy time is measured inside the worker and fed back into the phase
     recorder, so worker timelines and the Amdahl accounting stay
     comparable with the serial backend.
     """

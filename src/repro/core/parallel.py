@@ -1,200 +1,44 @@
-"""Real parallel implementations of the paper's methods.
+"""Real parallel tier-1: the paper's code-block worker pool (Sec. 3.3).
 
-These are the executable counterparts of the techniques the performance
-model simulates -- numerically exact and property-tested against the
-serial paths:
-
-- :func:`parallel_dwt2d` / :func:`parallel_idwt2d`: multilevel transform
-  whose per-level vertical and horizontal sweeps are partitioned
-  statically across a worker pool, with a barrier between directions
-  (the sweep is the barrier), exactly the structure of Sec. 3.2.
-- :func:`parallel_encode_blocks` / :func:`parallel_decode_blocks`:
-  tier-1 over a worker pool, code-blocks dealt to workers by predicted
-  cost (longest processing time first).
-- :func:`parallel_quantize`: coefficient chunks across workers
-  (Sec. 3.3).
-
-Every function takes a ``backend`` -- a name from
-:data:`repro.core.backend.BACKEND_NAMES` or a live
+:func:`parallel_encode_blocks` / :func:`parallel_decode_blocks` run
+tier-1 over a worker pool, code-blocks dealt to workers by predicted
+cost (longest processing time first).  Each takes a ``backend`` -- a
+name from :data:`repro.core.backend.BACKEND_NAMES` or a live
 :class:`~repro.core.backend.ExecutionBackend` -- selecting *how* the
-static decomposition executes: ``serial`` in the calling thread (the
-default), or ``processes``, which ships tier-1 shares to a process pool
-and runs every sweep in the calling process (a pool round trip per
-sweep costs more than the whole transform; see
-:mod:`repro.core.backend`).  Results are bit-identical across backends
-and worker counts (the differential harness in
+shares execute: ``serial`` in the calling thread (the default), or
+``processes`` on a process pool.  Results are bit-identical across
+backends and worker counts (the differential harness in
 ``tests/test_backends_differential.py`` holds both to byte-identical
-codestreams); all *simulated* speedup numbers in the experiments still
-come from the deterministic SMP model, whose tier-1 pool keeps the
-paper's staggered round robin (see DESIGN.md).
+codestreams).
+
+The DWT has one code path, :func:`repro.wavelet.dwt2d` /
+:func:`~repro.wavelet.idwt2d`, on every backend: a sweep round trip
+through a pool cost more than the whole transform.  The paper's
+parallel DWT (Sec. 3.2) is reproduced by the simulator only
+(:mod:`repro.smp`), and all *simulated* speedup numbers in the
+experiments come from that deterministic SMP model, whose tier-1 pool
+keeps the paper's staggered round robin (see DESIGN.md).
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from ..ebcot.t1 import EncodedBlock
 from ..smp.pool import longest_processing_time
-from ..wavelet.dwt2d import Subbands
-from ..wavelet.filters import get_filter
+from ..wavelet.dwt2d import dwt2d, idwt2d
 from .backend import resolve_backend
 
 __all__ = [
-    "parallel_dwt2d",
-    "parallel_idwt2d",
     "parallel_encode_blocks",
     "parallel_decode_blocks",
-    "parallel_quantize",
 ]
 
-
-def _split_ranges(n: int, parts: int) -> List[Tuple[int, int]]:
-    """Static near-equal contiguous partition of ``range(n)``."""
-    parts = max(1, min(parts, n)) if n else 1
-    base, extra = divmod(n, parts)
-    out: List[Tuple[int, int]] = []
-    start = 0
-    for i in range(parts):
-        size = base + (1 if i < extra else 0)
-        out.append((start, start + size))
-        start += size
-    return out
-
-
-def _parallel_1d(
-    data: np.ndarray, bank, backend, ph=None
-) -> Tuple[np.ndarray, np.ndarray]:
-    """One filtering sweep along axis 0, columns statically partitioned.
-
-    ``ph`` (an :class:`repro.obs.PhaseRecorder`, optional) records one
-    task per column slab -- worker id, queue wait, and the barrier wait
-    until the slowest slab finishes.
-    """
-    n_cols = data.shape[1]
-    n = data.shape[0]
-    n_low, n_high = (n + 1) // 2, n // 2
-    dtype = np.int64 if bank.reversible else np.float64
-    low = np.empty((n_low, n_cols), dtype=dtype)
-    high = np.empty((n_high, n_cols), dtype=dtype)
-    ranges = _split_ranges(n_cols, backend.n_workers)
-    backend.sweep(
-        "dwt", (data,), (low, high), ranges, {"filter": bank.name}, ph=ph
-    )
-    return low, high
-
-
-def parallel_dwt2d(
-    image: np.ndarray,
-    levels: int,
-    filter_name: str = "9/7",
-    n_workers: int = 1,
-    tracer=None,
-    backend=None,
-) -> Subbands:
-    """Multilevel 2-D DWT with statically partitioned parallel sweeps.
-
-    Bit-identical to :func:`repro.wavelet.dwt2d` (tested) on every
-    backend: parallelism only re-orders independent column/row slabs.
-    A barrier separates the vertical and horizontal filtering of each
-    level, as in the paper.
-
-    ``tracer`` (optional :class:`repro.obs.Tracer`) records one barrier
-    phase per sweep -- ``DWT vertical L<n>`` / ``DWT horizontal L<n>`` --
-    with per-worker slab tasks, queue waits, and the barrier wait between
-    the vertical and horizontal sweeps of each level.  ``backend``
-    selects the execution backend (default: ``serial``).
-    """
-    bank = get_filter(filter_name)
-    a = np.asarray(image)
-    if a.ndim != 2:
-        raise ValueError("expected a 2-D image")
-    if n_workers < 1:
-        raise ValueError("need at least one worker")
-    current = a if bank.reversible else np.asarray(a, dtype=np.float64)
-    details: List[Dict[str, np.ndarray]] = []
-    bk, owned = resolve_backend(backend, n_workers)
-    try:
-        for lvl in range(1, levels + 1):
-            if tracer is None:
-                low_v, high_v = _parallel_1d(current, bank, bk)
-                ll_t, hl_t = _parallel_1d(np.ascontiguousarray(low_v.T), bank, bk)
-                lh_t, hh_t = _parallel_1d(np.ascontiguousarray(high_v.T), bank, bk)
-            else:
-                with tracer.phase(f"DWT vertical L{lvl}", backend=bk.name) as ph:
-                    low_v, high_v = _parallel_1d(current, bank, bk, ph)
-                with tracer.phase(f"DWT horizontal L{lvl}", backend=bk.name) as ph:
-                    ll_t, hl_t = _parallel_1d(
-                        np.ascontiguousarray(low_v.T), bank, bk, ph
-                    )
-                    lh_t, hh_t = _parallel_1d(
-                        np.ascontiguousarray(high_v.T), bank, bk, ph
-                    )
-            details.append(
-                {
-                    "HL": np.ascontiguousarray(hl_t.T),
-                    "LH": np.ascontiguousarray(lh_t.T),
-                    "HH": np.ascontiguousarray(hh_t.T),
-                }
-            )
-            current = np.ascontiguousarray(ll_t.T)
-    finally:
-        if owned:
-            bk.close()
-    return Subbands(ll=current, details=details, shape=a.shape, filter_name=filter_name)
-
-
-def parallel_idwt2d(
-    subbands: Subbands, n_workers: int = 1, tracer=None, backend=None
-) -> np.ndarray:
-    """Inverse of :func:`parallel_dwt2d` with the same partitioning.
-
-    ``tracer`` records the mirrored barrier phases (``IDWT horizontal
-    L<n>`` / ``IDWT vertical L<n>``) with per-worker slab tasks;
-    ``backend`` selects the execution backend (default: ``serial``).
-    """
-    bank = get_filter(subbands.filter_name)
-    if n_workers < 1:
-        raise ValueError("need at least one worker")
-    bk, owned = resolve_backend(backend, n_workers)
-
-    def inv_sweep(low: np.ndarray, high: np.ndarray, ph=None) -> np.ndarray:
-        n_cols = low.shape[1]
-        ranges = _split_ranges(n_cols, bk.n_workers)
-        n = low.shape[0] + high.shape[0]
-        out = np.empty((n, n_cols), dtype=np.int64 if bank.reversible else np.float64)
-        bk.sweep(
-            "idwt", (low, high), (out,), ranges, {"filter": bank.name}, ph=ph
-        )
-        return out
-
-    def traced_sweep(name: str, low: np.ndarray, high: np.ndarray) -> np.ndarray:
-        if tracer is None:
-            return inv_sweep(low, high)
-        with tracer.phase(name, backend=bk.name) as ph:
-            return inv_sweep(low, high, ph)
-
-    try:
-        current = subbands.ll
-        for level in range(subbands.levels, 0, -1):
-            bands = subbands.details[level - 1]
-            low_v = traced_sweep(
-                f"IDWT horizontal L{level}",
-                np.ascontiguousarray(current.T), np.ascontiguousarray(bands["HL"].T),
-            ).T
-            high_v = traced_sweep(
-                f"IDWT horizontal L{level}",
-                np.ascontiguousarray(bands["LH"].T), np.ascontiguousarray(bands["HH"].T),
-            ).T
-            current = traced_sweep(
-                f"IDWT vertical L{level}",
-                np.ascontiguousarray(low_v), np.ascontiguousarray(high_v),
-            )
-    finally:
-        if owned:
-            bk.close()
-    return current
+# perfbench patches these two names by string; its next change drops them.
+parallel_dwt2d = dwt2d
+parallel_idwt2d = idwt2d
 
 
 def _first_field(block):
@@ -367,39 +211,3 @@ def parallel_decode_blocks(
             ).inc(concealed)
     return list(results)
 
-
-def parallel_quantize(
-    coeffs: np.ndarray, step: float, n_workers: int = 1, tracer=None, backend=None
-) -> np.ndarray:
-    """Dead-zone quantization with coefficient chunks across workers.
-
-    "Every processor may have a chunk of coefficients from the wavelet
-    transform which it has to quantize" (Sec. 3.3).  ``tracer`` records
-    one ``quantization chunks`` phase with a task per chunk; ``backend``
-    selects the execution backend (default: ``serial``).
-    """
-    if n_workers < 1:
-        raise ValueError("need at least one worker")
-    flat = np.ascontiguousarray(coeffs).reshape(-1)
-    out = np.empty(flat.shape, dtype=np.int32)
-    bk, owned = resolve_backend(backend, n_workers)
-    try:
-        ranges = _split_ranges(flat.size, bk.n_workers)
-
-        def run(ph):
-            bk.sweep(
-                "quantize", (flat,), (out,), ranges, {"step": step},
-                ph=ph, label="chunk", size_attr="samples",
-            )
-
-        if tracer is None:
-            run(None)
-        else:
-            with tracer.phase(
-                "quantization chunks", samples=flat.size, backend=bk.name
-            ) as ph:
-                run(ph)
-    finally:
-        if owned:
-            bk.close()
-    return out.reshape(coeffs.shape)

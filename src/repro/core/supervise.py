@@ -1,30 +1,29 @@
 """Supervised execution: retries, pool rebuilds, graceful degradation.
 
-The paper's parallel decomposition is *idempotent by construction*:
-every barrier-sweep slab writes a disjoint ``[a:b)`` column range and
-every tier-1 code-block lands in its own result slot.  That makes the
-recovery story mechanical -- when a worker dies (``BrokenProcessPool``),
-hangs past a phase deadline, or a kernel raises, re-running *only the
-unfinished units* produces exactly the bytes an undisturbed run would
+The paper's tier-1 worker pool is *idempotent by construction*: every
+code-block lands in its own result slot.  That makes the recovery
+story mechanical -- when a worker dies (``BrokenProcessPool``), hangs
+past a phase deadline, or a kernel raises, re-running *only the
+unfinished items* produces exactly the bytes an undisturbed run would
 have produced.  :class:`SupervisedBackend` wraps any
 :class:`~repro.core.backend.ExecutionBackend` with that loop:
 
-1. run one best-effort attempt (``sweep_attempt`` / ``map_shares_attempt``)
-   over the still-pending units;
+1. run one best-effort ``map_shares_attempt`` over the still-pending
+   items;
 2. on a pool-fatal outcome (worker death, broken pool, deadline expiry)
    rebuild the pool -- killing wedged workers -- and retry with
    deterministic exponential backoff, up to ``max_retries`` per rung;
 3. when retries exhaust, step down the degradation ladder
    ``processes -> serial`` (sticky for the rest of the wrapper's
    life) instead of failing the image.  A kernel running in the calling
-   process cannot be preempted -- every sweep slab, and every unit on
-   the serial rung, checks the deadline between units -- so only the
-   process rung recovers from a hung tier-1 share;
+   process cannot be preempted -- the serial rung checks the deadline
+   between items -- so only the process rung recovers from a hung
+   tier-1 share;
 4. at the bottom of the ladder, surface persistent *kernel* errors the
-   same way the unsupervised backends do (map items go into the
-   ``errors`` list for downstream concealment, sweep failures raise),
-   and raise :class:`SupervisionError` only for units that could never
-   be run at all.
+   same way the unsupervised backends do (failed items go into the
+   ``errors`` list for downstream concealment), and raise
+   :class:`SupervisionError` only for items that could never be run at
+   all.
 
 Every retry, rebuild, timeout, worker death and degradation is recorded
 on a :class:`SupervisionReport`, mirrored into ``repro.obs`` counters
@@ -104,7 +103,7 @@ class SupervisionEvent:
     """One thing the supervisor did or observed."""
 
     kind: str  # retry | rebuild | degrade | timeout | deadline | worker-death | kernel-error | give-up
-    op: str  # sweep | map
+    op: str  # map
     backend: str  # ladder name of the rung at the time
     detail: str = ""
 
@@ -159,10 +158,10 @@ def _ladder_name(backend: ExecutionBackend) -> str:
 class SupervisedBackend(ExecutionBackend):
     """Fault-tolerant wrapper around any execution backend.
 
-    Drop-in for the wrapped backend: its attempt pair is the retry loop
+    Drop-in for the wrapped backend: its attempt is the retry loop
     :meth:`_drive`, whose :class:`Attempt` holds only persistent kernel
-    errors, so the inherited ``sweep`` and ``map_shares`` keep their
-    exact contracts (including per-item error capture for concealment)
+    errors, so the inherited ``map_shares`` keeps its exact contract
+    (including per-item error capture for concealment)
     and just survive worker death, hangs and transient kernel faults
     along the way.  Degradation is sticky -- once the
     wrapper has stepped down to ``serial`` it stays there, because a
@@ -345,7 +344,7 @@ class SupervisedBackend(ExecutionBackend):
                     f"{policy.degrade})"
                 )
             # Only persistent kernel errors remain: hand them to the
-            # caller so map/sweep surface them exactly like the
+            # caller so ``map_shares`` surfaces them exactly like the
             # unsupervised backends would.
             break
         self.report.final_backend = _ladder_name(self._rung)
@@ -356,20 +355,6 @@ class SupervisedBackend(ExecutionBackend):
     #
     # ``deadline`` is unused: the policy's phase timeout and
     # :attr:`call_deadline` bound every inner attempt.
-
-    def sweep_attempt(self, kernel, srcs, outs, ranges, extra, deadline=None,
-                      ph=None, label="cols", size_attr="columns") -> Attempt:
-        pending: Dict[Tuple[int, int], None] = dict.fromkeys(
-            (int(a), int(b)) for a, b in ranges
-        )
-
-        def run(bk, units, timeout):
-            return bk.sweep_attempt(
-                kernel, srcs, outs, units, extra, deadline=timeout,
-                ph=ph, label=label, size_attr=size_attr,
-            )
-
-        return self._drive("sweep", pending, run, ph=ph)
 
     def map_shares_attempt(self, kernel, shares, deadline=None,
                            ph=None, label="cb") -> Attempt:

@@ -4,8 +4,8 @@ The paper's results come from genuinely parallel hardware; under
 CPython's GIL a thread pool serializes the pure-Python kernels (it ran
 slower than ``serial`` on every measured input, so the repo has no
 thread backend).  The ``processes`` backend plays the paper's SMP
-workers: the same static decompositions (Secs. 3.2/3.3) run with the
-tier-1 shares on a process pool and the sweeps in the calling process.
+workers: the tier-1 code-block shares (Sec. 3.3) run on a process
+pool, and the DWT runs in the calling process on every backend.
 This experiment encodes one Fig. 6/9-style workload on both backends
 (``serial`` is the reference) and holds them to
 the differential contract -- byte-identical codestreams, bit-exact

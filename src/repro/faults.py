@@ -27,15 +27,14 @@ exactly-once soak in ``tests/test_serve_client.py`` drives the
 **Compute faults** model the *workers* failing rather than the bytes:
 a kernel raising (``exc``), a worker wedging (``hang``), or a worker
 being killed outright (``kill`` -- a real ``os._exit`` in a process
-worker, a :class:`~repro.core.backend.WorkerDeath` when the unit runs in
-the calling thread, as every sweep slab and every unit on the serial
-rung does).
+worker, a :class:`~repro.core.backend.WorkerDeath` when the share runs
+in the calling thread, as on the serial rung).
 :class:`ComputeFault` names the exact call and unit that misbehaves, so
 a fault schedule is as reproducible as a ``FaultSpec``;
 :class:`FaultyBackend` injects the schedule into any execution backend
-by swapping in chaos kernels (``repro.faults:_chaos_sweep`` /
-``_chaos_item``) that the backend resolves by dotted name, in a worker
-process for a pooled share.  The
+by swapping in the chaos kernel ``repro.faults:_chaos_item``, which the
+backend resolves by dotted name, in a worker process for a pooled
+share.  The
 supervision layer (:mod:`repro.core.supervise`) is differential-tested
 against these schedules: under any of them the supervised run must emit
 the byte-identical codestream the serial backend produces.
@@ -51,12 +50,7 @@ from typing import Any, Callable, Dict, List, Optional, Sequence
 
 import numpy as np
 
-from .core.backend import (
-    ExecutionBackend,
-    WorkerDeath,
-    resolve_item_kernel,
-    resolve_sweep_kernel,
-)
+from .core.backend import ExecutionBackend, WorkerDeath, resolve_item_kernel
 
 __all__ = [
     "COMPUTE_FAULT_KINDS",
@@ -260,14 +254,15 @@ class ComputeFault:
         :class:`~repro.core.backend.WorkerDeath` when the unit runs in
         the calling thread, as on the serial rung).
     ``op``
-        Which primitive to strike: ``sweep``, ``map``, or ``any``.
+        Which primitive to strike: ``map`` or ``any`` (the same thing:
+        ``map_shares`` is the backend's only primitive).
     ``call``
-        0-based index of the matching primitive invocation on the
-        backend (an encode runs several sweeps before its tier-1 map).
+        0-based index of the matching ``map_shares`` attempt on the
+        backend (an encode makes one per tile-component, a supervised
+        call one more per retry).
     ``unit``
-        Which unit inside that call misbehaves: the index into the
-        call's non-empty ranges for sweeps, the rank within the sorted
-        global item indices for maps (taken modulo the live count, so
+        Which item inside that call misbehaves: the rank within the
+        sorted global item indices (taken modulo the live count, so
         ``unit=0`` always strikes something).
     ``persistent``
         One-shot faults are consumed when armed, so the supervisor's
@@ -288,8 +283,8 @@ class ComputeFault:
                 f"unknown compute-fault kind {self.kind!r}; "
                 f"options: {', '.join(COMPUTE_FAULT_KINDS)}"
             )
-        if self.op not in ("sweep", "map", "any"):
-            raise ValueError(f"op must be sweep/map/any, not {self.op!r}")
+        if self.op not in ("map", "any"):
+            raise ValueError(f"op must be map/any, not {self.op!r}")
         if self.call < 0 or self.unit < 0:
             raise ValueError("call and unit must be non-negative")
         if self.arg is not None and self.arg < 0:
@@ -299,7 +294,7 @@ class ComputeFault:
     def parse(cls, text: str) -> "ComputeFault":
         """Parse ``kind[:op[:call[:unit[:arg[:persistent]]]]]``.
 
-        Examples: ``kill``, ``exc:map:0:3``, ``hang:sweep:1:0:0.5``,
+        Examples: ``kill``, ``exc:map:0:3``, ``hang:map:1:0:0.5``,
         ``kill:map:0:0::persistent``.
         """
         parts = text.split(":")
@@ -345,19 +340,6 @@ def _trigger(chaos: Dict[str, Any]) -> None:
     raise ValueError(f"unknown chaos kind {kind!r}")  # pragma: no cover
 
 
-def _chaos_sweep(srcs, outs, a, b, extra) -> None:
-    """Sweep kernel wrapper: trigger on the target slab, then delegate.
-
-    Resolved as ``repro.faults:_chaos_sweep`` via the dotted kernel
-    lookup.
-    """
-    chaos = extra["__chaos__"]
-    if tuple(chaos["target"]) == (a, b):
-        _trigger(chaos)
-    inner = {k: v for k, v in extra.items() if k not in ("__chaos__", "__kernel__")}
-    resolve_sweep_kernel(extra["__kernel__"])(srcs, outs, a, b, inner)
-
-
 def _chaos_item(payload):
     """Item kernel wrapper: payload = (chaos-or-None, kernel, real payload)."""
     chaos, kernel, real = payload
@@ -369,12 +351,12 @@ def _chaos_item(payload):
 class FaultyBackend(ExecutionBackend):
     """Chaos-injecting wrapper around a real execution backend.
 
-    Counts ``sweep`` and ``map`` attempts (every plain ``sweep`` /
-    ``map_shares`` call is one attempt; a supervised call makes one per
-    retry), arms the first matching :class:`ComputeFault` per attempt, and
-    rewrites the kernel/payloads so the fault fires *inside* the target
-    worker.  One-shot faults are consumed at arming time, which is what
-    makes supervised retries converge; ``persistent`` faults keep
+    Counts ``map_shares`` attempts (every plain ``map_shares`` call is
+    one attempt; a supervised call makes one per retry), arms the first
+    matching :class:`ComputeFault` per attempt, and rewrites the
+    kernel/payloads so the fault fires *inside* the target worker.
+    One-shot faults are consumed at arming time, which is what makes
+    supervised retries converge; ``persistent`` faults keep
     striking until the supervisor degrades to a rung this wrapper no
     longer controls.  ``ladder_name`` reports the wrapped backend's
     position so the degradation ladder steps relative to it.
@@ -389,7 +371,7 @@ class FaultyBackend(ExecutionBackend):
             if not isinstance(f, ComputeFault):
                 raise TypeError(f"not a ComputeFault: {f!r}")
         self._consumed = [False] * len(self.faults)
-        self._counts = {"sweep": 0, "map": 0}
+        self._calls = 0
         self.name = f"faulty({inner.name})"
 
     @property
@@ -404,11 +386,11 @@ class FaultyBackend(ExecutionBackend):
 
     # -- fault arming --------------------------------------------------------
 
-    def _arm(self, op: str) -> Optional[ComputeFault]:
-        n = self._counts[op]
-        self._counts[op] = n + 1
+    def _arm(self) -> Optional[ComputeFault]:
+        n = self._calls
+        self._calls = n + 1
         for idx, fault in enumerate(self.faults):
-            if self._consumed[idx] or fault.op not in (op, "any"):
+            if self._consumed[idx]:
                 continue
             if fault.persistent:
                 if n >= fault.call:
@@ -418,20 +400,8 @@ class FaultyBackend(ExecutionBackend):
                 return fault
         return None
 
-    def _sweep_args(self, kernel, ranges, extra):
-        fault = self._arm("sweep")
-        live = [(int(a), int(b)) for a, b in ranges if a != b]
-        if fault is None or not live:
-            return kernel, extra
-        chaos = fault.chaos()
-        chaos["target"] = live[fault.unit % len(live)]
-        extra2 = dict(extra)
-        extra2["__chaos__"] = chaos
-        extra2["__kernel__"] = kernel
-        return "repro.faults:_chaos_sweep", extra2
-
     def _map_args(self, kernel, shares):
-        fault = self._arm("map")
+        fault = self._arm()
         items = sorted(i for share in shares for i, _ in share)
         if fault is None or not items:
             return kernel, shares
@@ -445,14 +415,6 @@ class FaultyBackend(ExecutionBackend):
         return "repro.faults:_chaos_item", wrapped
 
     # -- ExecutionBackend API ------------------------------------------------
-
-    def sweep_attempt(self, kernel, srcs, outs, ranges, extra, deadline=None,
-                      ph=None, label="cols", size_attr="columns"):
-        kernel, extra = self._sweep_args(kernel, ranges, extra)
-        return self.inner.sweep_attempt(
-            kernel, srcs, outs, ranges, extra, deadline=deadline,
-            ph=ph, label=label, size_attr=size_attr,
-        )
 
     def map_shares_attempt(self, kernel, shares, deadline=None,
                            ph=None, label="cb"):

@@ -156,15 +156,7 @@ def subband_shapes(height: int, width: int, levels: int) -> Dict[Tuple[int, str]
     return shapes
 
 
-def dwt2d(
-    image: np.ndarray,
-    levels: int,
-    filter_name: str = "9/7",
-    *,
-    n_workers: int = 1,
-    backend=None,
-    tracer=None,
-) -> Subbands:
+def dwt2d(image: np.ndarray, levels: int, filter_name: str = "9/7") -> Subbands:
     """Forward multilevel 2-D DWT.
 
     Parameters
@@ -175,12 +167,9 @@ def dwt2d(
         Number of decomposition levels (paper default: 5).
     filter_name:
         ``"5/3"`` or ``"9/7"``.
-    n_workers, backend, tracer:
-        When parallelism is requested (``n_workers > 1`` or an explicit
-        ``backend``), the transform delegates to
-        :func:`repro.core.parallel.parallel_dwt2d` -- the statically
-        partitioned sweeps are bit-identical to the serial path on
-        every backend, so callers can opt in without numerical risk.
+
+    The codec calls this on every execution backend: the paper's
+    parallel DWT is reproduced by the simulator (:mod:`repro.smp`).
     """
     bank = get_filter(filter_name)
     a = np.asarray(image)
@@ -193,13 +182,6 @@ def dwt2d(
         raise ValueError(f"{levels} levels exceeds maximum {max_levels} for shape {a.shape}")
     if bank.reversible and not np.issubdtype(a.dtype, np.integer):
         raise TypeError("5/3 transform requires integer input")
-    if n_workers > 1 or backend is not None:
-        from ..core.parallel import parallel_dwt2d
-
-        return parallel_dwt2d(
-            a, levels, filter_name,
-            n_workers=n_workers, tracer=tracer, backend=backend,
-        )
     details: List[Dict[str, np.ndarray]] = []
     current = a if bank.reversible else np.asarray(a, dtype=np.float64)
     for _ in range(levels):
@@ -213,26 +195,8 @@ def dwt2d(
     return Subbands(ll=current, details=details, shape=a.shape, filter_name=filter_name)
 
 
-def idwt2d(
-    subbands: Subbands,
-    *,
-    n_workers: int = 1,
-    backend=None,
-    tracer=None,
-) -> np.ndarray:
-    """Inverse multilevel 2-D DWT (bit-exact for 5/3 integer input).
-
-    ``n_workers``/``backend``/``tracer`` opt into the statically
-    partitioned parallel sweeps of
-    :func:`repro.core.parallel.parallel_idwt2d` (bit-identical results
-    on every backend).
-    """
-    if n_workers > 1 or backend is not None:
-        from ..core.parallel import parallel_idwt2d
-
-        return parallel_idwt2d(
-            subbands, n_workers=n_workers, tracer=tracer, backend=backend
-        )
+def idwt2d(subbands: Subbands) -> np.ndarray:
+    """Inverse multilevel 2-D DWT (bit-exact for 5/3 integer input)."""
     bank = get_filter(subbands.filter_name)
     current = subbands.ll
     for level in range(subbands.levels, 0, -1):

@@ -1,32 +1,16 @@
-"""Self-tests for :mod:`repro.analysis` (lint rules + race detector).
+"""Self-tests for :mod:`repro.analysis` (the lint rules).
 
 Every lint rule is exercised on embedded good/bad fixtures written to a
 temp tree, so a rule regression fails here before it silently stops
-protecting the real codebase.  The race-detector tests include a
-deliberately overlapping-write kernel (must be caught) and real
-DWT/codec sweeps on the serial and processes backends (must run
-race-free and byte-identical to the serial reference).
+protecting the real codebase.
 """
 
 from __future__ import annotations
 
 from pathlib import Path
 
-import numpy as np
-import pytest
-
-from repro.analysis import (
-    Finding,
-    RaceDetectorBackend,
-    RaceError,
-    load_baseline,
-    run_lint,
-)
+from repro.analysis import Finding, load_baseline, run_lint
 from repro.analysis.lint import write_baseline
-from repro.analysis.races import WriteTrackingView, _tracking_copy
-from repro.codec import CodecParams, decode_image, encode_image
-from repro.core.backend import SWEEP_KERNELS, SerialBackend, get_backend
-from repro.image import SyntheticSpec, synthetic_image
 
 # ---------------------------------------------------------------------------
 # Lint fixtures: write source to a temp tree, lint it, inspect findings.
@@ -153,14 +137,14 @@ class TestPoolLifecycle:
         res = lint_source(tmp_path, (
             "def leak():\n"
             "    bk = get_backend('processes', 2)\n"
-            "    bk.sweep('dwt', (), (), [], {})\n"
+            "    bk.map_shares('encode', [], 0)\n"
         ))
         assert "pool-lifecycle" in rules_of(res)
 
     def test_unbound_acquisition_flagged(self, tmp_path):
         res = lint_source(tmp_path, (
             "def leak():\n"
-            "    get_backend('processes', 2).sweep('dwt', (), (), [], {})\n"
+            "    get_backend('processes', 2).map_shares('encode', [], 0)\n"
         ))
         assert "pool-lifecycle" in rules_of(res)
 
@@ -168,7 +152,7 @@ class TestPoolLifecycle:
         res = lint_source(tmp_path, (
             "def ok():\n"
             "    with get_backend('processes', 2) as bk:\n"
-            "        bk.sweep('dwt', (), (), [], {})\n"
+            "        bk.map_shares('encode', [], 0)\n"
         ))
         assert "pool-lifecycle" not in rules_of(res)
 
@@ -177,7 +161,7 @@ class TestPoolLifecycle:
             "def ok():\n"
             "    bk = get_backend('processes', 2)\n"
             "    try:\n"
-            "        bk.sweep('dwt', (), (), [], {})\n"
+            "        bk.map_shares('encode', [], 0)\n"
             "    finally:\n"
             "        bk.close()\n"
         ))
@@ -190,7 +174,7 @@ class TestPoolLifecycle:
             "    bk = get_backend('processes', 2)\n"
             "    owned = bk if created else None\n"
             "    try:\n"
-            "        bk.sweep('dwt', (), (), [], {})\n"
+            "        bk.map_shares('encode', [], 0)\n"
             "    finally:\n"
             "        if owned is not None:\n"
             "            owned.close()\n"
@@ -471,148 +455,3 @@ class TestRepoIsClean:
         assert res.ok, "\n".join(f.format() for f in res.findings)
         assert not res.stale_baseline
 
-
-# ---------------------------------------------------------------------------
-# Race detector.
-# ---------------------------------------------------------------------------
-
-
-def _racy_kernel(srcs, outs, a, b, extra) -> None:
-    """Writes one element past its slab: adjacent units collide."""
-    hi = min(b + 1, outs[0].shape[0])
-    outs[0][a:hi] = srcs[0][a:hi] * 2.0
-
-
-def _src_writing_kernel(srcs, outs, a, b, extra) -> None:
-    outs[0][a:b] = srcs[0][a:b]
-    srcs[0][a:b] = 0.0
-
-
-def _disjoint_kernel(srcs, outs, a, b, extra) -> None:
-    outs[0][a:b] = srcs[0][a:b] + extra["bias"]
-
-
-@pytest.fixture()
-def test_kernels():
-    """Temporarily register the fixture kernels; always unregister."""
-    names = {
-        "_test_racy": _racy_kernel,
-        "_test_src_write": _src_writing_kernel,
-        "_test_disjoint": _disjoint_kernel,
-    }
-    SWEEP_KERNELS.update(names)
-    yield
-    for name in names:
-        SWEEP_KERNELS.pop(name, None)
-
-
-def _sweep_args(n=8):
-    src = np.arange(float(n))
-    out = np.zeros(n)
-    ranges = [(0, n // 2), (n // 2, n)]
-    return src, out, ranges
-
-
-class TestRaceDetector:
-    def test_overlapping_writes_detected(self, test_kernels):
-        src, out, ranges = _sweep_args()
-        with RaceDetectorBackend(SerialBackend(2)) as det:
-            with pytest.raises(RaceError) as exc:
-                det.sweep("_test_racy", (src,), (out,), ranges, {})
-        finding = exc.value.finding
-        assert finding.op == "sweep"
-        assert finding.array == "outs[0]"
-        assert (4,) in finding.sample  # the stray column past the slab
-
-    def test_source_write_detected(self, test_kernels):
-        src, out, ranges = _sweep_args()
-        with RaceDetectorBackend(SerialBackend(2)) as det:
-            with pytest.raises(RaceError) as exc:
-                det.sweep("_test_src_write", (src,), (out,), ranges, {})
-        assert exc.value.finding.array == "srcs[0]"
-
-    def test_record_only_mode_still_delegates(self, test_kernels):
-        src, out, ranges = _sweep_args()
-        with RaceDetectorBackend(SerialBackend(2), raise_on_race=False) as det:
-            det.sweep("_test_racy", (src,), (out,), ranges, {})
-        assert not det.report.clean
-        assert det.report.races
-        # The inner backend still ran: real bytes come from it.
-        assert np.array_equal(out, np.arange(8.0) * 2.0)
-
-    def test_disjoint_kernel_passes_and_is_transparent(self, test_kernels):
-        src, out, ranges = _sweep_args()
-        with RaceDetectorBackend(SerialBackend(2)) as det:
-            det.sweep("_test_disjoint", (src,), (out,), ranges, {"bias": 3.0})
-        assert det.report.clean
-        assert det.report.sweeps == 1 and det.report.units == 2
-        assert np.array_equal(out, src + 3.0)
-
-    def test_map_share_slot_collision_detected(self):
-        shares = [[(0, None), (1, None)], [(1, None)]]  # item 1 dealt twice
-        with RaceDetectorBackend(SerialBackend(2)) as det:
-            with pytest.raises(RaceError) as exc:
-                det.map_shares("anything", shares, n_items=2)
-        assert exc.value.finding.array == "result slots"
-
-    def test_ladder_name_delegates(self):
-        with RaceDetectorBackend(SerialBackend(1)) as det:
-            assert det.ladder_name == "serial"
-            assert det.name == "race-detector(serial)"
-
-
-class TestWriteTracking:
-    def test_setitem_marks_mask(self):
-        view, scratch, mask = _tracking_copy(np.zeros((4, 4)))
-        assert isinstance(view, WriteTrackingView)
-        view[1, 2] = 7.0
-        view[3, :] = 1.0
-        assert mask[1, 2] and mask[3].all()
-        assert mask.sum() == 5
-
-    def test_derived_view_write_caught_by_value_diff(self, test_kernels):
-        # A kernel that writes through a derived slice: the mask misses
-        # it, the value diff must not.
-        def through_view(srcs, outs, a, b, extra):
-            sub = outs[0][a: min(b + 1, outs[0].shape[0])]
-            sub[:] = srcs[0][a: a + sub.shape[0]] + 1.0
-
-        SWEEP_KERNELS["_test_view"] = through_view
-        try:
-            src, out, ranges = _sweep_args()
-            with RaceDetectorBackend(SerialBackend(2)) as det:
-                with pytest.raises(RaceError):
-                    det.sweep("_test_view", (src,), (out,), ranges, {})
-        finally:
-            SWEEP_KERNELS.pop("_test_view", None)
-
-
-class TestRealCodecRaceFree:
-    """The actual DWT/codec sweeps must hold the disjoint-write contract."""
-
-    @pytest.fixture(scope="class")
-    def image(self):
-        return synthetic_image(SyntheticSpec(48, 48, "mix", seed=5))
-
-    @pytest.fixture(scope="class")
-    def params(self):
-        return CodecParams(levels=2, filter_name="9/7", cb_size=16,
-                           base_step=1 / 64, target_bpp=(1.0,))
-
-    def test_serial_sweeps_race_free(self, image, params):
-        reference = encode_image(image, params).data
-        with RaceDetectorBackend(get_backend("serial", 2)) as det:
-            res = encode_image(image, params, backend=det, n_workers=2)
-            rec = decode_image(res.data, backend=det, n_workers=2)
-        assert det.report.clean, det.report.summary()
-        assert det.report.sweeps > 0 and det.report.units >= 2
-        assert res.data == reference
-        assert np.array_equal(rec, decode_image(reference))
-
-    def test_processes_sweeps_race_free(self, image, params, process_backend):
-        reference = encode_image(image, params).data
-        det = RaceDetectorBackend(process_backend)
-        # No close(): the inner pool is the shared session fixture.
-        res = encode_image(image, params, backend=det, n_workers=2)
-        assert det.report.clean, det.report.summary()
-        assert res.data == reference

@@ -1,17 +1,16 @@
 """Cross-backend differential harness (PR tentpole).
 
 Every execution backend -- ``serial`` and ``processes`` -- must produce *byte-identical* codestreams and bit-exact decodes for the
-same inputs, for any worker count.  The parallel structure only
-re-orders independent column slabs / code-blocks, so even the 9/7
-float path admits no tolerance: equality is exact, not approximate.
+same inputs, for any worker count.  The tier-1 deal only re-orders
+independent code-blocks, and the DWT runs in the calling process on
+every backend, so even the 9/7 float path admits no tolerance:
+equality is exact, not approximate.
 
 The fast subset runs by default; the larger seeded matrix is marked
 ``slow`` (``pytest -m slow``).
 """
 
 from __future__ import annotations
-
-import os
 
 import numpy as np
 import pytest
@@ -24,13 +23,6 @@ from repro.core.backend import (
     get_backend,
     resolve_backend,
 )
-from repro.core.parallel import (
-    parallel_dwt2d,
-    parallel_idwt2d,
-    parallel_quantize,
-)
-from repro.quant.deadzone import quantize
-from repro.wavelet.dwt2d import dwt2d, idwt2d
 
 # (seed, (h, w), kind, levels, cb_size, filter) -- shapes include a
 # power-of-two width (the cache-pathology case), odd sizes, and a
@@ -119,29 +111,6 @@ class TestCodestreamIdentity:
 class TestStageEquivalence:
     """Stage-level differentials: each parallel primitive vs its serial twin."""
 
-    @pytest.mark.parametrize("filt", ["5/3", "9/7"])
-    @pytest.mark.parametrize("shape", [(64, 64), (41, 128), (57, 33)])
-    def test_dwt_sweeps(self, shape, filt, process_backend):
-        img = seeded_image(41, *shape, kind="noise")
-        if filt == "5/3":
-            img = img.astype(np.int64)  # the reversible path is integer-only
-        ref = dwt2d(img, levels=3, filter_name=filt)
-        for backend in ("serial", process_backend):
-            got = parallel_dwt2d(img, 3, filt, n_workers=2, backend=backend)
-            assert np.array_equal(got.ll, ref.ll)
-            for lvl_ref, lvl_got in zip(ref.details, got.details):
-                for band in ("HL", "LH", "HH"):
-                    assert np.array_equal(lvl_got[band], lvl_ref[band])
-            back = parallel_idwt2d(got, n_workers=2, backend=backend)
-            assert np.array_equal(back, idwt2d(ref))
-
-    def test_quantize_chunks(self, process_backend):
-        coeffs = seeded_image(42, 77, 53, kind="noise") - 128.0
-        ref = quantize(coeffs, 1 / 64)
-        for backend in ("serial", process_backend):
-            got = parallel_quantize(coeffs, 1 / 64, n_workers=2, backend=backend)
-            assert np.array_equal(got, ref)
-
     def test_smp_rollup_parity(self, process_backend):
         """Simulated-SMP phase costs roll up identically on every backend."""
         from repro.smp import INTEL_SMP, SimulatedSMP, Task, staggered_round_robin
@@ -160,21 +129,46 @@ class TestStageEquivalence:
             assert got.total_ops == ref.total_ops
 
 
-def _record_pid(srcs, outs, a, b, extra) -> None:
-    """Sweep kernel: stamp the pid of the process running slab ``[a:b)``."""
-    outs[0][a:b] = os.getpid()
-
-
 class TestSweepsInParent:
-    """The processes backend ships only tier-1 shares; every sweep runs
-    in the calling process, with no shared-memory transport."""
+    """Every backend runs the DWT in the calling process through one code
+    path; the processes pool ships only tier-1 shares, with no
+    shared-memory transport."""
 
-    def test_sweep_kernels_run_in_calling_process(self, process_backend):
-        src = np.zeros(8)
-        out = np.zeros(8, dtype=np.int64)
-        process_backend.sweep("tests.test_backends_differential:_record_pid",
-                              (src,), (out,), [(0, 4), (4, 8)], {})
-        assert set(out.tolist()) == {os.getpid()}
+    @pytest.mark.parametrize("live", ["serial", "processes"])
+    def test_one_dwt_path_on_every_backend(self, live, monkeypatch,
+                                           process_backend):
+        """``dwt2d``/``idwt2d`` run once per tile-component on a live
+        ``serial``/1 and ``processes``/2 backend, with the serial bytes."""
+        import repro.codec.decoder as decoder
+        import repro.codec.encoder as encoder
+
+        img = seeded_image(34, 32, 64, kind="edges")
+        params = CodecParams(levels=2, filter_name="9/7", cb_size=16,
+                             tile_size=32, target_bpp=(1.0,))
+        reference = encode_bytes(img, params)
+        decoded_ref = decode_image(reference)
+
+        calls = {"dwt": 0, "idwt": 0}
+
+        def counting(key, fn):
+            def wrapper(*args, **kwargs):
+                calls[key] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(encoder, "dwt2d", counting("dwt", encoder.dwt2d))
+        monkeypatch.setattr(decoder, "idwt2d",
+                            counting("idwt", decoder.idwt2d))
+        bk = get_backend("serial", 1) if live == "serial" else process_backend
+        try:
+            data = encode_image(img, params, backend=bk).data
+            out = decode_image(data, backend=bk)
+        finally:
+            if bk is not process_backend:
+                bk.close()
+        assert calls == {"dwt": 2, "idwt": 2}  # two tiles, one component
+        assert data == reference
+        assert np.array_equal(out, decoded_ref)
 
     def test_codec_creates_no_shared_memory(self, monkeypatch, process_backend):
         from multiprocessing import shared_memory
@@ -272,7 +266,7 @@ class TestBackendApi:
 
         assert ServeConfig().backend == "serial"
         parser = build_parser()
-        for argv in (["serve", "run"], ["serve", "bench"], ["races"]):
+        for argv in (["serve", "run"], ["serve", "bench"]):
             assert parser.parse_args(argv).backend == "serial", argv
 
         # encode/decode/faults exec pass ``None`` through to the resolver.

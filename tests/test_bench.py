@@ -374,10 +374,10 @@ class TestBenchCLI:
             "bench", "compare", "--dir", str(tmp_path), "--tolerant",
         ]) == 0
         assert "OK (within tolerance)" in capsys.readouterr().out
-        # Now slow every sweep call by a persistent 0.2s hang fault.
+        # Now slow every tier-1 map call by a persistent 0.2s hang fault.
         rc = main([
             "bench", "compare", "--dir", str(tmp_path),
-            "--handicap", "hang:sweep:0:0:0.2:p",
+            "--handicap", "hang:map:0:0:0.2:p",
         ])
         out = capsys.readouterr().out
         assert rc == 1

@@ -20,7 +20,6 @@ class TestParser:
             "trace",
             "experiments",
             "lint",
-            "races",
             "bench",
             "serve",
         }

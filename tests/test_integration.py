@@ -1,6 +1,5 @@
 """Cross-module integration: the full reproduction pipeline end to end."""
 
-import numpy as np
 import pytest
 
 from repro import (
@@ -17,9 +16,8 @@ from repro import (
     synthetic_image,
     SyntheticSpec,
 )
-from repro.core import parallel_dwt2d, theoretical_speedup_from_breakdown
+from repro.core import theoretical_speedup_from_breakdown
 from repro.perf import workload_from_encode_result
-from repro.wavelet import dwt2d, idwt2d
 
 
 class TestRealToSimulatedPipeline:
@@ -60,13 +58,6 @@ class TestRealToSimulatedPipeline:
 
 class TestParallelEncoderEquivalence:
     """The real parallel pipeline components compose into the same image."""
-
-    def test_threaded_transform_through_codec(self):
-        img = synthetic_image(SyntheticSpec(64, 64, "mix", seed=40))
-        shifted = img.astype(np.float64) - 128.0
-        sb_serial = dwt2d(shifted, 3, "9/7")
-        sb_par = parallel_dwt2d(shifted, 3, "9/7", n_workers=4)
-        assert np.allclose(idwt2d(sb_par), idwt2d(sb_serial), atol=1e-9)
 
     def test_scalable_stream_is_prefix_decodable(self):
         img = synthetic_image(SyntheticSpec(64, 64, "mix", seed=41))

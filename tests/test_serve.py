@@ -223,10 +223,6 @@ class TestServer:
             def __getattr__(self, name):
                 return getattr(self.inner, name)
 
-            def sweep_attempt(self, *a, **kw):
-                gate.wait(5.0)
-                return self.inner.sweep_attempt(*a, **kw)
-
             def map_shares_attempt(self, *a, **kw):
                 gate.wait(5.0)
                 return self.inner.map_shares_attempt(*a, **kw)
@@ -285,10 +281,6 @@ class TestServer:
 
             def __getattr__(self, name):
                 return getattr(self.inner, name)
-
-            def sweep_attempt(self, *a, **kw):
-                gate.wait(5.0)
-                return self.inner.sweep_attempt(*a, **kw)
 
             def map_shares_attempt(self, *a, **kw):
                 gate.wait(5.0)

@@ -12,8 +12,6 @@ matrix is marked ``slow`` (``pytest -m slow``).
 
 from __future__ import annotations
 
-import time
-
 import numpy as np
 import pytest
 from concurrent.futures.process import BrokenProcessPool
@@ -67,7 +65,7 @@ class TestRecovery:
 
     def test_kernel_exception_retried(self):
         data, rep = _faulty_encode(
-            get_backend("serial", 2), [ComputeFault("exc", op="sweep")]
+            get_backend("serial", 2), [ComputeFault("exc", op="map")]
         )
         assert data == _reference()
         assert rep.kernel_errors == 1
@@ -114,10 +112,12 @@ class TestRecovery:
         assert rep.pool_rebuilds >= 1
 
     def test_multiple_faults_one_run(self):
+        # The second fault strikes the retry (attempt 1) of the item the
+        # first one failed.
         data, rep = _faulty_encode(
             get_backend("serial", 2),
             [
-                ComputeFault("exc", op="sweep", call=1),
+                ComputeFault("exc", op="map", call=1),
                 ComputeFault("exc", op="map", unit=3),
             ],
         )
@@ -245,7 +245,7 @@ class TestReporting:
         registry = MetricsRegistry()
         _, rep = _faulty_encode(
             get_backend("serial", 2),
-            [ComputeFault("exc", op="sweep")],
+            [ComputeFault("exc", op="map")],
             metrics=registry,
         )
         samples = parse_prometheus(registry.to_prometheus())
@@ -268,7 +268,7 @@ class TestReporting:
         tracer = Tracer()
         sup = supervised(
             FaultyBackend(
-                get_backend("serial", 2), [ComputeFault("exc", op="sweep")]
+                get_backend("serial", 2), [ComputeFault("exc", op="map")]
             ),
             FAST,
             owns_inner=True,
@@ -341,13 +341,18 @@ class TestPolicyAndParse:
         assert (f.kind, f.op, f.call, f.unit, f.persistent) == (
             "exc", "any", 0, 0, False
         )
-        f = ComputeFault.parse("hang:sweep:1:2:0.5")
-        assert f == ComputeFault("hang", "sweep", 1, 2, 0.5)
+        f = ComputeFault.parse("hang:map:1:2:0.5")
+        assert f == ComputeFault("hang", "map", 1, 2, 0.5)
         f = ComputeFault.parse("kill:map:0:0::persistent")
         assert f.persistent
         for bad in ("nope", "exc:neither", "exc:map:x"):
             with pytest.raises(ValueError):
                 ComputeFault.parse(bad)
+
+    def test_sweep_op_rejected(self):
+        # ``map_shares`` is the only primitive a backend has left.
+        with pytest.raises(ValueError, match=r"op must be map/any, not 'sweep'"):
+            ComputeFault.parse("exc:sweep")
 
     def test_supervised_is_idempotent(self):
         inner = get_backend("serial", 1)
@@ -376,10 +381,6 @@ class _DeadlineSpy:
 
     def __getattr__(self, name):
         return getattr(self.inner, name)
-
-    def sweep_attempt(self, *args, deadline=None, **kw):
-        self.deadlines.append(deadline)
-        return self.inner.sweep_attempt(*args, deadline=deadline, **kw)
 
     def map_shares_attempt(self, *args, deadline=None, **kw):
         self.deadlines.append(deadline)
@@ -476,14 +477,6 @@ class TestCallDeadline:
 # -- the error contract on every rung ------------------------------------------
 
 
-def _fail_every_slab(srcs, outs, a, b, extra) -> None:
-    """Sweep kernel failing on every slab; the first slab finishes last,
-    so completion order differs from range order on pooled rungs."""
-    if a == 0:
-        time.sleep(0.05)
-    raise ValueError(f"slab {a}:{b}")
-
-
 def _fail_odd_items(payload):
     if payload % 2:
         raise ValueError(f"item {payload}")
@@ -506,16 +499,13 @@ class TestErrorContract:
     a caller sees on failure must still be the documented contract."""
 
     @pytest.mark.parametrize("name,supervise", RUNGS)
-    @pytest.mark.parametrize("op", ["sweep", "map"])
+    # ``map`` is the only op left; the axis keeps the matrix's case ids.
+    @pytest.mark.parametrize("op", ["map"])
     def test_worker_kill(self, name, supervise, op):
         from repro.core.backend import WorkerDeath
-        from repro.quant.deadzone import quantize
         from repro.smp.machine import INTEL_SMP
         from repro.smp.task import Task
 
-        flat = np.linspace(-4.0, 4.0, 16)
-        ref = quantize(flat, 0.5)
-        out = np.zeros_like(ref)
         payload = ((Task("t", ops=10.0),), INTEL_SMP)
         bk = _on_rung(
             FaultyBackend(get_backend(name, 2), [ComputeFault("kill", op=op)]),
@@ -523,43 +513,22 @@ class TestErrorContract:
         )
 
         def run():
-            if op == "sweep":
-                bk.sweep("quantize", (flat,), (out,), [(0, 8), (8, 16)],
-                         {"step": 0.5})
-                return None
             return bk.map_shares("smp-cycles", [[(0, payload)], [(1, payload)]], 2)
 
         try:
             if supervise:
                 got = run()
             else:
-                # Only map shares leave the calling process: a killed
-                # pool worker breaks the pool, a "killed" sweep slab (or
-                # serial share) runs in-process and raises WorkerDeath.
-                pooled = name == "processes" and op == "map"
-                death = BrokenProcessPool if pooled else WorkerDeath
+                # A killed pool worker breaks the pool; a "killed" serial
+                # share runs in-process and raises WorkerDeath.
+                death = BrokenProcessPool if name == "processes" else WorkerDeath
                 with pytest.raises(death):
                     run()
                 got = run()  # the kill is spent; the rung still works
         finally:
             bk.close()
-        if op == "sweep":
-            assert np.array_equal(out, ref)
-        else:
-            results, errors = got
-            assert errors == [None, None] and None not in results
-
-    @pytest.mark.parametrize("name,supervise", RUNGS)
-    def test_sweep_raises_first_range_failure(self, name, supervise):
-        src = np.arange(32.0).reshape(4, 8)
-        out = np.zeros_like(src)
-        bk = _on_rung(get_backend(name, 2), supervise)
-        try:
-            with pytest.raises(ValueError, match=r"^slab 0:4$"):
-                bk.sweep("tests.test_supervise:_fail_every_slab", (src,),
-                         (out,), [(0, 4), (4, 8)], {})
-        finally:
-            bk.close()
+        results, errors = got
+        assert errors == [None, None] and None not in results
 
     @pytest.mark.parametrize("name,supervise", RUNGS)
     def test_failed_map_items_are_concealed(self, name, supervise):
@@ -595,7 +564,6 @@ SLOW_CASES = [
     for backend in BACKEND_NAMES
     for workers in (2, 3)
     for fault in (
-        ComputeFault("exc", op="sweep"),
         ComputeFault("exc", op="map", unit=2),
         ComputeFault("kill", op="map"),
         ComputeFault("exc", op="map", persistent=True),
