@@ -45,7 +45,6 @@ see DESIGN.md); ``info`` prints its parameters and tile layout.
 from __future__ import annotations
 
 import argparse
-import sys
 
 import numpy as np
 

@@ -14,8 +14,7 @@ differences in Fig. 5 reflect the transform, not budget splitting.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -26,8 +25,8 @@ from ..rate.pcrd import BlockRateInfo, allocate_layers
 from ..tier2.codestream import CodestreamParams, TilePart, write_codestream
 from ..tier2.framing import write_frame
 from ..tier2.packet import BandState, BlockContribution, PacketWriter
-from ..wavelet.dwt2d import Subbands, dwt2d, synthesis_energy_gain
-from .blocks import BandLayout, BlockInfo, band_layouts, resolution_bands
+from ..wavelet.dwt2d import dwt2d, synthesis_energy_gain
+from .blocks import BlockInfo, band_layouts, resolution_bands
 from .instrument import EncoderReport
 from .params import CodecParams
 

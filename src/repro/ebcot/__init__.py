@@ -10,18 +10,19 @@ Implemented from scratch:
 
 - :mod:`repro.ebcot.mq` -- the MQ binary arithmetic coder (46+1-state
   probability estimation table, byte-stuffing, carry handling) with a
-  matching decoder.  The encoder has one coding loop,
-  ``MQEncoder.encode_many``, which codes a whole decision stream with
-  its registers in local variables.
+  matching decoder.  Its per-decision loops are C (``mq.c``, compiled
+  by :mod:`repro.native` on first import): the encoder codes a whole
+  pass's symbol array per call, the decoder a whole significance or
+  cleanup pass, or a refinement pass's context list, per call.  The
+  pure-Python coder it is tested against lives in ``tests/mq_spec.py``.
 - :mod:`repro.ebcot.tables` -- context formation tables: zero-coding
   contexts per subband orientation, sign contexts with XOR predicate,
   magnitude-refinement contexts.
 - :mod:`repro.ebcot.t1` -- the bit-plane coder: significance propagation,
   magnitude refinement and cleanup passes over 4-row stripes, with
   per-pass rate and distortion bookkeeping for the PCRD rate allocator,
-  plus the matching decoder.  The encoder builds each pass's decision
-  stream with whole-array NumPy and codes it in one ``encode_many``
-  call; the decoder decodes sequentially from per-pass Python lists.
+  plus the matching decoder.  Context formation and pass bookkeeping
+  are whole-array NumPy; each pass reaches the C coder in one call.
 
 Implementation note (documented deviation): context formation freezes the
 significance state at pass boundaries (a Jacobi update) instead of

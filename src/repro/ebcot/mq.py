@@ -5,127 +5,123 @@ estimation automaton, byte stuffing after ``0xFF`` bytes, and carry
 resolution.  Encoder and decoder share the state table; every context is
 a (state-index, MPS) pair that adapts as decisions are coded.
 
-The implementation follows the standard's software conventions (28-bit C
+The per-decision loops are C (``mq.c``, built and loaded by
+:mod:`repro.native` on the first import of this module); these classes
+hold each coder's registers and context tables in one NumPy buffer that
+the C functions work on, and hand them whole NumPy arrays per call.  The
+executable specification they are tested against, a pure-Python coder,
+lives in ``tests/mq_spec.py``.
+
+The coder follows the standard's software conventions (28-bit C
 register, ``CT`` countdown, BYTEOUT/BYTEIN).  A fabricated leading byte
 absorbs carry propagation out of the first code byte; it stays in the
 segment (1 byte of overhead per code-block) so encoder and decoder remain
 exact mirrors.  Decoding past the end of a (possibly truncated) segment
 feeds ``1`` bits, per the standard, so truncated streams decode cleanly
-up to their truncation pass.
-
-Round-trip exactness over arbitrary decision/context sequences is
-enforced by property-based tests.
+up to their truncation pass; the C decoder never reads outside the
+segment.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, List, Optional, Sequence, Tuple
+import ctypes
+from pathlib import Path
+from typing import Iterable, List, Optional, Sequence
 
-__all__ = ["MQEncoder", "MQDecoder", "N_STATES"]
+import numpy as np
 
-# (Qe, NMPS, NLPS, SWITCH) -- T.800 Table C.2.
-_QE_TABLE = (
-    (0x5601, 1, 1, 1),
-    (0x3401, 2, 6, 0),
-    (0x1801, 3, 9, 0),
-    (0x0AC1, 4, 12, 0),
-    (0x0521, 5, 29, 0),
-    (0x0221, 38, 33, 0),
-    (0x5601, 7, 6, 1),
-    (0x5401, 8, 14, 0),
-    (0x4801, 9, 14, 0),
-    (0x3801, 10, 14, 0),
-    (0x3001, 11, 17, 0),
-    (0x2401, 12, 18, 0),
-    (0x1C01, 13, 20, 0),
-    (0x1601, 29, 21, 0),
-    (0x5601, 15, 14, 1),
-    (0x5401, 16, 14, 0),
-    (0x5101, 17, 15, 0),
-    (0x4801, 18, 16, 0),
-    (0x3801, 19, 17, 0),
-    (0x3401, 20, 18, 0),
-    (0x3001, 21, 19, 0),
-    (0x2801, 22, 19, 0),
-    (0x2401, 23, 20, 0),
-    (0x2201, 24, 21, 0),
-    (0x1C01, 25, 22, 0),
-    (0x1801, 26, 23, 0),
-    (0x1601, 27, 24, 0),
-    (0x1401, 28, 25, 0),
-    (0x1201, 29, 26, 0),
-    (0x1101, 30, 27, 0),
-    (0x0AC1, 31, 28, 0),
-    (0x09C1, 32, 29, 0),
-    (0x08A1, 33, 30, 0),
-    (0x0521, 34, 31, 0),
-    (0x0441, 35, 32, 0),
-    (0x02A1, 36, 33, 0),
-    (0x0221, 37, 34, 0),
-    (0x0141, 38, 35, 0),
-    (0x0111, 39, 36, 0),
-    (0x0085, 40, 37, 0),
-    (0x0049, 41, 38, 0),
-    (0x0025, 42, 39, 0),
-    (0x0015, 43, 40, 0),
-    (0x0009, 44, 41, 0),
-    (0x0005, 45, 42, 0),
-    (0x0001, 45, 43, 0),
-    (0x5601, 46, 46, 0),
-)
+from .. import native
 
-N_STATES = len(_QE_TABLE)
+__all__ = [
+    "MQEncoder",
+    "MQDecoder",
+    "N_STATES",
+    "PASS_SC_SHIFT",
+    "PASS_XOR",
+    "PASS_VISIT",
+    "PASS_RUN",
+    "PASS_HIT",
+    "PASS_NEG",
+]
 
-_QE = tuple(row[0] for row in _QE_TABLE)
-_NMPS = tuple(row[1] for row in _QE_TABLE)
-_NLPS = tuple(row[2] for row in _QE_TABLE)
-_SWITCH = tuple(row[3] for row in _QE_TABLE)
+#: Probability states of T.800 Table C.2.
+N_STATES = 47
+
+# Fields of the int32 pass array of MQDecoder.decode_pass (see mq.c).
+#: Bits 0-4 hold the zero-coding context, from this bit the sign context.
+PASS_SC_SHIFT = 5
+PASS_XOR = 0x400
+PASS_VISIT = 0x800
+PASS_RUN = 0x1000
+PASS_HIT = 0x2000
+PASS_NEG = 0x4000
+
+# Header words of the state buffers (the enums of mq.c): the encoder's
+# A, C, CT, LEN, CAP, NCTX and the decoder's A, C, CT, BP, LEN, NCTX; the
+# context tables, index[n] then mps[n], follow them.
+_E_LEN, _E_CAP, _E_HDR = 3, 4, 6
+_D_NCTX, _D_HDR = 5, 6
+
+_lib = native.load(Path(__file__).with_name("mq.c"))
+_ptr, _i64 = ctypes.c_void_p, ctypes.c_int64
 
 
-def _byteout(buf: bytearray, c: int) -> Tuple[int, int]:
-    """T.800 BYTEOUT: move the top byte of ``C`` into ``buf``.
+def _fn(name: str, *argtypes):
+    fn = getattr(_lib, name)
+    fn.argtypes = argtypes
+    fn.restype = _i64
+    return fn
 
-    Resolves a carry into the previous byte and stuffs a zero bit after
-    ``0xFF``; returns the new ``(C, CT)``.
-    """
-    if buf[-1] == 0xFF:
-        buf.append((c >> 20) & 0xFF)
-        return c & 0xFFFFF, 7
-    if c >= 0x8000000:
-        buf[-1] += 1
-        if buf[-1] == 0xFF:
-            c &= 0x7FFFFFF
-            buf.append((c >> 20) & 0xFF)
-            return c & 0xFFFFF, 7
-    buf.append((c >> 19) & 0xFF)
-    return c & 0x7FFFF, 8
+
+_encode = _fn("mq_encode", _ptr, _ptr, _ptr, _i64)
+_flush = _fn("mq_flush", _ptr, _ptr)
+_decoder_init = _fn("mq_decoder_init", _ptr, _ptr, _i64)
+_decoder_init.restype = None
+_decode = _fn("mq_decode", _ptr, _ptr, _ptr, _i64)
+_decode_pass = _fn("mq_decode_pass", _ptr, _ptr, _ptr, _i64, _i64, _i64)
+
+
+def _state(header: int, n_contexts: int, initial_states: Optional[Sequence[int]]) -> np.ndarray:
+    if n_contexts < 1:
+        raise ValueError("need at least one context")
+    state = np.zeros(header + 2 * n_contexts, dtype=np.int64)
+    if initial_states is not None:
+        if len(initial_states) != n_contexts:
+            raise ValueError("initial_states length mismatch")
+        index = np.asarray(initial_states, dtype=np.int64)
+        if index.min() < 0 or index.max() >= N_STATES:
+            raise ValueError(f"initial states must lie in 0..{N_STATES - 1}")
+        state[header : header + n_contexts] = index
+    return state
 
 
 class MQEncoder:
     """MQ encoder over ``n_contexts`` adaptive contexts.
 
     Feed decisions with :meth:`encode_many` (or :meth:`encode` for a
-    single one), call :meth:`flush` once at the end, and read the segment
-    from :meth:`get_bytes`.  :meth:`tell_bytes` gives
-    the running segment length used for truncation-point rates.
+    single one, or :meth:`encode_symbols` for a packed array), call
+    :meth:`flush` once at the end, and read the segment from
+    :meth:`get_bytes`.  :meth:`tell_bytes` gives the running segment
+    length used for truncation-point rates.
     """
 
     def __init__(self, n_contexts: int, initial_states: Optional[Sequence[int]] = None) -> None:
-        if n_contexts < 1:
-            raise ValueError("need at least one context")
-        self._index = [0] * n_contexts
-        self._mps = [0] * n_contexts
-        if initial_states is not None:
-            if len(initial_states) != n_contexts:
-                raise ValueError("initial_states length mismatch")
-            self._index = list(initial_states)
-        self._a = 0x8000
-        self._c = 0
-        self._ct = 12
-        # Fabricated leading byte: absorbs a carry out of the first real
-        # code byte and stays in the segment.
-        self._buf = bytearray([0])
+        self._n = n_contexts
+        self._state = _state(_E_HDR, n_contexts, initial_states)
+        self._st = self._state.ctypes.data
+        # buf[0] (LEN starts at 1) is the fabricated leading byte: it
+        # absorbs a carry out of the first real code byte.
+        self._buf = np.zeros(256, dtype=np.uint8)
+        self._buf_addr = self._buf.ctypes.data
+        self._state[:_E_HDR] = (0x8000, 0, 12, 1, len(self._buf), n_contexts)
         self._flushed = False
+
+    def _grow(self, extra: int) -> None:
+        used = int(self._state[_E_LEN])
+        buf = np.zeros(max(2 * len(self._buf), used + extra), dtype=np.uint8)
+        buf[:used] = self._buf[:used]
+        self._buf, self._buf_addr = buf, buf.ctypes.data
+        self._state[_E_CAP] = len(buf)
 
     # -- public API ---------------------------------------------------------
 
@@ -134,66 +130,35 @@ class MQEncoder:
         self.encode_many((decision,), (context,))
 
     def encode_many(self, decisions: Iterable[int], contexts: Iterable[int]) -> None:
-        """Code ``decisions[i]`` in ``contexts[i]``, in order.
+        """Code ``decisions[i]`` in ``contexts[i]``, in order."""
+        d = np.asarray(decisions)
+        c = np.asarray(contexts, dtype=np.int64)
+        if d.shape != c.shape:
+            raise ValueError("decisions and contexts differ in length")
+        self.encode_symbols(2 * c + (d != 0))
 
-        The one coding loop of the encoder: the registers and context
-        tables live in locals, and renormalisation shifts ``A`` and ``C``
-        by the whole distance to the next interval bound at once, with a
-        byte-out wherever ``CT`` runs out on the way.
-        """
+    def encode_symbols(self, symbols: np.ndarray) -> None:
+        """Code ``symbols[i] = 2 * context + decision``, in order: one C
+        call for the whole array."""
         if self._flushed:
             raise RuntimeError("encoder already flushed")
-        index, mps, buf = self._index, self._mps, self._buf
-        qe_of, nmps, nlps, switch = _QE, _NMPS, _NLPS, _SWITCH
-        a, c, ct = self._a, self._c, self._ct
-        for d, cx in zip(decisions, contexts):
-            idx = index[cx]
-            qe = qe_of[idx]
-            a -= qe
-            if d == mps[cx]:
-                if a & 0x8000:
-                    c += qe
-                    continue
-                if a < qe:
-                    a = qe
-                else:
-                    c += qe
-                index[cx] = nmps[idx]
-            else:
-                if a < qe:
-                    c += qe
-                else:
-                    a = qe
-                if switch[idx]:
-                    mps[cx] ^= 1
-                index[cx] = nlps[idx]
-            # RENORME: here 0 < A < 0x8000.
-            shift = 16 - a.bit_length()
-            a <<= shift
-            while shift >= ct:
-                c = (c << ct) & 0xFFFFFFF
-                shift -= ct
-                c, ct = _byteout(buf, c)
-            c = (c << shift) & 0xFFFFFFF
-            ct -= shift
-        self._a, self._c, self._ct = a, c, ct
+        sym = np.ascontiguousarray(symbols, dtype=np.int32)
+        n = len(sym)
+        addr = sym.ctypes.data
+        status = _encode(self._st, self._buf_addr, addr, n)
+        if status == -2:
+            self._grow(3 * n + 3)
+            status = _encode(self._st, self._buf_addr, addr, n)
+        if status < 0:
+            raise ValueError(f"context out of range for {self._n} contexts")
 
     def flush(self) -> None:
-        """Terminate the segment (T.800 FLUSH: setbits + two byteouts)."""
+        """Terminate the segment (T.800 FLUSH: setbits + byteouts)."""
         if self._flushed:
             return
-        # SETBITS: move C to the largest value in [C, C+A) whose low
-        # 15 bits are zero; the decoder's past-end 1-bit feeding then
-        # lands inside the final interval.
-        tempc = self._c + self._a - 1
-        self._c = tempc & ~0x7FFF
-        # Three byteouts drain every significant bit of C (the spec's two
-        # plus one safety byte so the last decision never depends on
-        # synthesized padding; costs at most one byte per segment).
-        for _ in range(3):
-            self._c, self._ct = _byteout(self._buf, (self._c << self._ct) & 0xFFFFFFF)
-        if self._buf[-1] == 0xFF:
-            self._buf.pop()
+        if _flush(self._st, self._buf_addr) == -2:
+            self._grow(3)
+            _flush(self._st, self._buf_addr)
         self._flushed = True
 
     def get_bytes(self) -> bytes:
@@ -202,20 +167,19 @@ class MQEncoder:
         The fabricated leading byte is stripped when no carry reached it;
         a carried-into leading byte stays (the decoder needs the bit).
         """
-        if self._buf[0] == 0:
-            return bytes(self._buf[1:])
-        return bytes(self._buf)
+        seg = self._buf[: int(self._state[_E_LEN])]
+        return seg[1:].tobytes() if seg[0] == 0 else seg.tobytes()
 
     def tell_bytes(self) -> int:
         """Upper bound on the bytes needed to decode everything coded so
         far, used as the truncation-point rate of the enclosing pass."""
         # Bytes committed, plus the C register still holding ~3 bytes.
-        return len(self._buf) + 3
+        return int(self._state[_E_LEN]) + 3
 
     @property
     def context_states(self) -> List[int]:
         """Current probability-state index per context (for tests)."""
-        return list(self._index)
+        return self._state[_E_HDR : _E_HDR + self._n].tolist()
 
 
 class MQDecoder:
@@ -226,86 +190,51 @@ class MQDecoder:
     """
 
     def __init__(self, data: bytes, n_contexts: int, initial_states: Optional[Sequence[int]] = None) -> None:
-        if n_contexts < 1:
-            raise ValueError("need at least one context")
-        self._index = [0] * n_contexts
-        self._mps = [0] * n_contexts
-        if initial_states is not None:
-            if len(initial_states) != n_contexts:
-                raise ValueError("initial_states length mismatch")
-            self._index = list(initial_states)
-        self._data = data
-        self._bp = 0
-        b0 = data[0] if data else 0xFF
-        self._c = b0 << 16
-        self._bytein()
-        self._c = (self._c << 7) & 0xFFFFFFFF
-        self._ct -= 7
-        self._a = 0x8000
-
-    def _cur(self) -> int:
-        return self._data[self._bp] if self._bp < len(self._data) else 0xFF
-
-    def _next(self) -> int:
-        return self._data[self._bp + 1] if self._bp + 1 < len(self._data) else 0xFF
-
-    def _bytein(self) -> None:
-        if self._cur() == 0xFF:
-            if self._next() > 0x8F:
-                self._c += 0xFF00
-                self._ct = 8
-            else:
-                self._bp += 1
-                self._c += self._cur() << 9
-                self._ct = 7
-        else:
-            self._bp += 1
-            self._c += self._cur() << 8
-            self._ct = 8
-
-    def _renorm(self) -> None:
-        while True:
-            if self._ct == 0:
-                self._bytein()
-            self._a = (self._a << 1) & 0xFFFF
-            self._c = (self._c << 1) & 0xFFFFFFFF
-            self._ct -= 1
-            if self._a & 0x8000:
-                break
+        self._n = n_contexts
+        self._state = _state(_D_HDR, n_contexts, initial_states)
+        self._state[_D_NCTX] = n_contexts
+        self._st = self._state.ctypes.data
+        self._data = np.frombuffer(data, dtype=np.uint8)
+        self._data_addr = self._data.ctypes.data
+        self._one = np.zeros(1, dtype=np.int32)
+        self._one_addr = self._one.ctypes.data
+        _decoder_init(self._st, self._data_addr, len(self._data))
 
     def decode(self, context: int) -> int:
         """Decode one binary decision in ``context``."""
-        idx = self._index[context]
-        qe = _QE[idx]
-        self._a -= qe
-        if ((self._c >> 16) & 0xFFFF) < qe:
-            # LPS path (conditional exchange).
-            if self._a < qe:
-                d = self._mps[context]
-                self._index[context] = _NMPS[idx]
-            else:
-                d = 1 - self._mps[context]
-                if _SWITCH[idx]:
-                    self._mps[context] ^= 1
-                self._index[context] = _NLPS[idx]
-            self._a = qe
-            self._renorm()
-            return d
-        self._c -= qe << 16
-        if self._a & 0x8000:
-            return self._mps[context]
-        if self._a < qe:
-            d = 1 - self._mps[context]
-            if _SWITCH[idx]:
-                self._mps[context] ^= 1
-            self._index[context] = _NLPS[idx]
-        else:
-            d = self._mps[context]
-            self._index[context] = _NMPS[idx]
-        self._renorm()
-        return d
+        self._one[0] = context
+        if _decode(self._st, self._data_addr, self._one_addr, 1) < 0:
+            raise ValueError(f"context out of range for {self._n} contexts")
+        return int(self._one[0])
+
+    def decode_many(self, contexts: Iterable[int]) -> np.ndarray:
+        """Decode one decision per context, in order; returns them as an
+        int32 array."""
+        out = np.array(contexts, dtype=np.int32)
+        if _decode(self._st, self._data_addr, out.ctypes.data, len(out)) < 0:
+            raise ValueError(f"context out of range for {self._n} contexts")
+        return out
+
+    def decode_pass(self, p: np.ndarray, ctx_run: int, ctx_uniform: int) -> int:
+        """Decode one significance-propagation or cleanup pass in place.
+
+        ``p`` is a C-contiguous int32 array, one word per sample in
+        stripe scan order: the zero-coding context in bits 0-4, the sign
+        context from bit ``PASS_SC_SHIFT``, and the flags ``PASS_XOR``
+        (sign predicate), ``PASS_VISIT`` (zero-code this sample) and
+        ``PASS_RUN`` (head of a run-mode column, rows ``i..i+3``).  Each
+        sample that becomes significant gets ``PASS_HIT``, and
+        ``PASS_NEG`` when its sign is negative.  Returns the number of
+        decisions decoded.
+        """
+        if p.dtype != np.int32 or not p.flags.c_contiguous or not p.flags.writeable:
+            raise TypeError("the pass array must be a writable C-contiguous int32 array")
+        count = _decode_pass(self._st, self._data_addr, p.ctypes.data, len(p), ctx_run, ctx_uniform)
+        if count < 0:
+            raise ValueError("malformed pass array")
+        return count
 
     @property
     def context_states(self) -> List[int]:
         """Current probability-state index per context (for tests)."""
-        return list(self._index)
+        return self._state[_D_HDR : _D_HDR + self._n].tolist()

@@ -15,12 +15,15 @@ freeze.  Because of it, every pass's full ``(decision, context)``
 sequence is a function of the pass-start state alone: the encoder builds
 it with whole-array NumPy in stripe scan order -- zero coding and sign
 bits (``neg ^ xor``), refinement bits, and the cleanup pass's run-mode
-heads for quiet full-stripe columns -- and codes it with one
-:meth:`~repro.ebcot.mq.MQEncoder.encode_many` call.  The decoder's
+heads for quiet full-stripe columns -- as one array of symbols
+``2 * context + decision``, and codes it with one
+:meth:`~repro.ebcot.mq.MQEncoder.encode_symbols` call.  The decoder's
 decisions stay sequential (whether a sign follows, and which rows a
-run-mode column codes, depend on decoded bits), but each pass hoists its
-frozen contexts into Python lists and writes its newly significant
-samples back once.
+run-mode column codes, depend on decoded bits), so each pass packs its
+frozen contexts, sign XOR bits, visit and run-column flags into one
+word per sample and hands the whole pass to one C call
+(:meth:`~repro.ebcot.mq.MQDecoder.decode_pass`), then writes the samples
+it found significant back once.
 Encoder and decoder mirror each other exactly and round-trip bit-exactly
 (property-tested); ``tests/test_t1_golden.py`` pins the bytes.
 """
@@ -33,7 +36,16 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from .mq import MQDecoder, MQEncoder
+from .mq import (
+    PASS_HIT,
+    PASS_NEG,
+    PASS_RUN,
+    PASS_SC_SHIFT,
+    PASS_VISIT,
+    PASS_XOR,
+    MQDecoder,
+    MQEncoder,
+)
 from .tables import (
     CTX_RUN,
     CTX_UNIFORM,
@@ -126,7 +138,7 @@ class CodeBlockEncoder:
     Each pass is a decision stream: with contexts frozen at the pass
     start, the pass's full ``(decision, context)`` sequence is built with
     whole-array NumPy in scan order and handed to one
-    :meth:`MQEncoder.encode_many` call.
+    :meth:`MQEncoder.encode_symbols` call.
     """
 
     def __init__(self, coeffs: np.ndarray, orient: str) -> None:
@@ -233,14 +245,12 @@ class CodeBlockEncoder:
         zc = ctx_zc.ravel()[scan]
         sc = sc_ctx.ravel()[scan]
         sb = self._neg_scan ^ sc_xor.ravel()[scan]
-        # Per sample: its ZC decision, then its sign when significant.
+        # Per sample: its ZC decision, then its sign when significant;
+        # each event is one symbol 2 * context + decision.
         count = e * (1 + b)
-        dec = np.zeros((len(scan), 4), dtype=np.int64)
-        ctx = np.zeros((len(scan), 4), dtype=np.int64)
-        dec[:, 0] = b
-        dec[:, 1] = sb
-        ctx[:, 0] = zc
-        ctx[:, 1] = sc
+        sym = np.zeros((len(scan), 4), dtype=np.int32)
+        sym[:, 0] = 2 * zc + b
+        sym[:, 1] = 2 * sc + sb
         if run_mode:
             run = _run_columns(self.shape, e, zc)
             if run.any():
@@ -257,30 +267,30 @@ class CodeBlockEncoder:
                 head = 4 * col
                 row_k = head + k
                 count[head] = 1 + 3 * hit
-                dec[head] = np.stack((hit, k >> 1, k & 1, sb[row_k]), axis=1)
-                ctx[head, 0] = CTX_RUN
-                ctx[head, 1:3] = CTX_UNIFORM
-                ctx[head, 3] = sc[row_k]
-        take = _SLOTS < count[:, None]
-        decisions = dec[take].tolist()
-        enc.encode_many(decisions, ctx[take].tolist())
-        return len(decisions)
+                sym[head] = np.stack(
+                    (2 * CTX_RUN + hit, 2 * CTX_UNIFORM + (k >> 1), 2 * CTX_UNIFORM + (k & 1),
+                     2 * sc[row_k] + sb[row_k]),
+                    axis=1,
+                )
+        symbols = sym[_SLOTS < count[:, None]]
+        enc.encode_symbols(symbols)
+        return len(symbols)
 
     def _ref_pass(self, enc: MQEncoder, elig: np.ndarray, bits: np.ndarray, ctx_mr: np.ndarray) -> int:
         """Magnitude refinement of the samples significant before this
         plane.  Returns the number of decisions coded."""
         sel = self._scan[elig.ravel()[self._scan]]
-        enc.encode_many(bits.ravel()[sel].tolist(), ctx_mr.ravel()[sel].tolist())
+        enc.encode_symbols(2 * ctx_mr.ravel()[sel] + bits.ravel()[sel])
         return len(sel)
 
 
 class CodeBlockDecoder:
     """Decodes (possibly truncated) embedded streams; mirror of the encoder.
 
-    Decisions stay sequential, but each pass hoists its frozen state --
-    contexts, sign XOR bits, the visiting order and the run-mode columns
-    -- into Python lists once, and writes the samples it finds
-    significant back into the block arrays once at the end of the pass.
+    Each pass packs its frozen state -- contexts, sign XOR bits, the
+    visiting order and the run-mode columns -- into one array, decodes
+    it in one :class:`MQDecoder` call, and writes the samples it finds
+    significant back into the block arrays once.
     """
 
     def __init__(
@@ -357,40 +367,21 @@ class CodeBlockDecoder:
             run = _run_columns(self.shape, e, zc)
             visit[: 4 * len(run)].reshape(-1, 4)[run] = False
             is_run[: 4 * len(run) : 4] = run
-            visit |= is_run
-        seq = np.flatnonzero(visit)
-        zl = zc.tolist()
-        sl = sc_ctx.ravel()[scan].tolist()
-        xl = sc_xor.ravel()[scan].tolist()
-        decode = dec.decode
-        hits: List[int] = []
-        signs: List[int] = []
-        for s, run_col in zip(seq.tolist(), is_run[seq].tolist()):
-            if run_col:
-                if not decode(CTX_RUN):
-                    continue
-                t = s + ((decode(CTX_UNIFORM) << 1) | decode(CTX_UNIFORM))
-                hits.append(t)
-                signs.append(decode(sl[t]) ^ xl[t])
-                for t in range(t + 1, s + 4):
-                    if decode(zl[t]):
-                        hits.append(t)
-                        signs.append(decode(sl[t]) ^ xl[t])
-            elif decode(zl[s]):
-                hits.append(s)
-                signs.append(decode(sl[s]) ^ xl[s])
-        flat = scan[hits]
+        p = (zc | (sc_ctx.ravel()[scan] << PASS_SC_SHIFT) | (sc_xor.ravel()[scan] * PASS_XOR)
+             | (visit * PASS_VISIT) | (is_run * PASS_RUN)).astype(np.int32)
+        dec.decode_pass(p, CTX_RUN, CTX_UNIFORM)
+        hit = (p & PASS_HIT) != 0
+        flat = scan[hit]
         mag.reshape(-1)[flat] |= 1 << plane
-        neg.reshape(-1)[flat] = signs
+        neg.reshape(-1)[flat] = (p[hit] & PASS_NEG) != 0
         new_sig = np.zeros(self.shape, dtype=bool)
         new_sig.reshape(-1)[flat] = True
         return new_sig
 
     def _ref_pass(self, dec, elig, ctx_mr, mag, plane):
         sel = self._scan[elig.ravel()[self._scan]]
-        decode = dec.decode
-        ones = [decode(c) for c in ctx_mr.ravel()[sel].tolist()]
-        mag.reshape(-1)[sel[np.array(ones, dtype=bool)]] |= 1 << plane
+        ones = dec.decode_many(ctx_mr.ravel()[sel])
+        mag.reshape(-1)[sel[ones != 0]] |= 1 << plane
 
 
 def encode_codeblock(coeffs: np.ndarray, orient: str = "LL") -> EncodedBlock:

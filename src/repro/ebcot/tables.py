@@ -13,7 +13,7 @@ Nineteen MQ contexts:
 All functions are vectorized over whole code-blocks: neighbor counts are
 sums of shifted slices, then mapped through small lookup tables.  This
 follows the repository's NumPy-vectorization guide and is what makes the
-pure-Python tier-1 coder fast enough for full images.
+tier-1 bookkeeping fast enough for full images.
 """
 
 from __future__ import annotations

@@ -20,13 +20,13 @@ numerical equivalence of column aggregation and is exercised in tests.)
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 from typing import Dict, List, Tuple
 
 import numpy as np
 
-from .filters import FilterBank, get_filter
+from .filters import get_filter
 from .lifting import dwt1d, idwt1d
 
 __all__ = ["Subbands", "dwt2d", "idwt2d", "subband_shapes", "synthesis_energy_gain"]
