@@ -50,9 +50,10 @@ def test_bench_mq_throughput(benchmark):
     contexts = rng.integers(0, 19, size=20000).tolist()
 
     def run():
-        # One call per stream, as tier-1 codes a pass.
         enc = MQEncoder(19)
-        enc.encode_many(decisions, contexts)
+        encode = enc.encode
+        for d, c in zip(decisions, contexts):
+            encode(d, c)
         enc.flush()
         return enc.get_bytes()
 

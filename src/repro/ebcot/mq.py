@@ -81,6 +81,26 @@ _decode = _fn("mq_decode", _ptr, _ptr, _ptr, _i64)
 _decode_pass = _fn("mq_decode_pass", _ptr, _ptr, _ptr, _i64, _i64, _i64)
 
 
+def _args(state: int, buf: int, one: int) -> tuple:
+    """The arguments of an MQ call on the one int32 symbol at ``one``."""
+    return (_ptr(state), _ptr(buf), _ptr(one), _i64(1))
+
+
+def _checked(values: Iterable[int], limit: int) -> np.ndarray:
+    """``values`` as an array whose entries all lie in ``0..limit-1``.
+
+    An int32 array passes as it is (the C functions check its range); any
+    other is checked here, before it is narrowed to int32, so that a wide
+    value cannot wrap back into range.
+    """
+    a = np.asarray(values)
+    if a.dtype != np.int32 and a.size and (
+        a.dtype.kind not in "biu" or a.min() < 0 or a.max() >= limit
+    ):
+        raise ValueError(f"values must be integers in 0..{limit - 1}")
+    return a
+
+
 def _state(header: int, n_contexts: int, initial_states: Optional[Sequence[int]]) -> np.ndarray:
     if n_contexts < 1:
         raise ValueError("need at least one context")
@@ -114,6 +134,10 @@ class MQEncoder:
         self._buf = np.zeros(256, dtype=np.uint8)
         self._buf_addr = self._buf.ctypes.data
         self._state[:_E_HDR] = (0x8000, 0, 12, 1, len(self._buf), n_contexts)
+        # One decision per call: the arguments are made once, as ctypes
+        # objects, since converting them costs about as much as the call.
+        self._one = ctypes.c_int32()
+        self._one_call = _args(self._st, self._buf_addr, ctypes.addressof(self._one))
         self._flushed = False
 
     def _grow(self, extra: int) -> None:
@@ -121,28 +145,36 @@ class MQEncoder:
         buf = np.zeros(max(2 * len(self._buf), used + extra), dtype=np.uint8)
         buf[:used] = self._buf[:used]
         self._buf, self._buf_addr = buf, buf.ctypes.data
+        self._one_call = _args(self._st, self._buf_addr, ctypes.addressof(self._one))
         self._state[_E_CAP] = len(buf)
 
     # -- public API ---------------------------------------------------------
 
     def encode(self, decision: int, context: int) -> None:
         """Code one binary ``decision`` (0/1) in ``context``."""
-        self.encode_many((decision,), (context,))
+        if not 0 <= context < self._n:
+            raise ValueError(f"context out of range for {self._n} contexts")
+        if self._flushed:
+            raise RuntimeError("encoder already flushed")
+        self._one.value = 2 * context + (decision != 0)
+        if _encode(*self._one_call) == -2:
+            self._grow(6)
+            _encode(*self._one_call)
 
     def encode_many(self, decisions: Iterable[int], contexts: Iterable[int]) -> None:
         """Code ``decisions[i]`` in ``contexts[i]``, in order."""
         d = np.asarray(decisions)
-        c = np.asarray(contexts, dtype=np.int64)
+        c = _checked(contexts, self._n)
         if d.shape != c.shape:
             raise ValueError("decisions and contexts differ in length")
-        self.encode_symbols(2 * c + (d != 0))
+        self.encode_symbols(2 * c.astype(np.int32) + (d != 0))
 
     def encode_symbols(self, symbols: np.ndarray) -> None:
         """Code ``symbols[i] = 2 * context + decision``, in order: one C
         call for the whole array."""
         if self._flushed:
             raise RuntimeError("encoder already flushed")
-        sym = np.ascontiguousarray(symbols, dtype=np.int32)
+        sym = np.ascontiguousarray(_checked(symbols, 2 * self._n), dtype=np.int32)
         n = len(sym)
         addr = sym.ctypes.data
         status = _encode(self._st, self._buf_addr, addr, n)
@@ -196,21 +228,22 @@ class MQDecoder:
         self._st = self._state.ctypes.data
         self._data = np.frombuffer(data, dtype=np.uint8)
         self._data_addr = self._data.ctypes.data
-        self._one = np.zeros(1, dtype=np.int32)
-        self._one_addr = self._one.ctypes.data
+        self._one = ctypes.c_int32()
+        self._one_call = _args(self._st, self._data_addr, ctypes.addressof(self._one))
         _decoder_init(self._st, self._data_addr, len(self._data))
 
     def decode(self, context: int) -> int:
         """Decode one binary decision in ``context``."""
-        self._one[0] = context
-        if _decode(self._st, self._data_addr, self._one_addr, 1) < 0:
+        if not 0 <= context < self._n:
             raise ValueError(f"context out of range for {self._n} contexts")
-        return int(self._one[0])
+        self._one.value = context
+        _decode(*self._one_call)
+        return self._one.value
 
     def decode_many(self, contexts: Iterable[int]) -> np.ndarray:
         """Decode one decision per context, in order; returns them as an
         int32 array."""
-        out = np.array(contexts, dtype=np.int32)
+        out = np.array(_checked(contexts, self._n), dtype=np.int32)
         if _decode(self._st, self._data_addr, out.ctypes.data, len(out)) < 0:
             raise ValueError(f"context out of range for {self._n} contexts")
         return out

@@ -9,8 +9,9 @@ pays only ``gcc --version`` and the ``dlopen``.  The compiler writes a
 temporary file that is then renamed into place, so processes that load
 the same source at once never see a partial library.
 
-There is no fallback: without a working compiler :func:`load` raises
-:class:`NativeBuildError`, which names it.
+There is no fallback: without a working compiler, or without a writable
+``__pycache__/`` when the library is not built yet, :func:`load` raises
+:class:`NativeBuildError`, which names what is missing.
 """
 
 from __future__ import annotations
@@ -21,9 +22,8 @@ import os
 import subprocess
 import tempfile
 from pathlib import Path
-from typing import Optional
 
-__all__ = ["FLAGS", "NativeBuildError", "library_path", "load"]
+__all__ = ["FLAGS", "NativeBuildError", "load"]
 
 #: Every library is built with these flags.  ``-ffp-contract=off`` keeps
 #: gcc from fusing floating-point multiply-adds, which would change bytes.
@@ -31,7 +31,8 @@ FLAGS = ("-O2", "-shared", "-fPIC", "-ffp-contract=off")
 
 
 class NativeBuildError(RuntimeError):
-    """The C compiler is missing or failed to build a source."""
+    """The C compiler is missing, fails to build a source, or the
+    library cannot be written."""
 
 
 def _compiler_version(compiler: str) -> bytes:
@@ -50,26 +51,28 @@ def _compiler_version(compiler: str) -> bytes:
     return proc.stdout
 
 
-def library_path(source: Path, compiler: str = "gcc", cache_dir: Optional[Path] = None) -> Path:
+def _library_path(source: Path, compiler: str) -> Path:
     """Where :func:`load` caches the library built from ``source``."""
-    source = Path(source)
     key = hashlib.sha256()
     for part in (source.read_bytes(), " ".join(FLAGS).encode(), _compiler_version(compiler)):
         key.update(part)
         key.update(b"\0")
-    cache = Path(cache_dir) if cache_dir is not None else source.parent / "__pycache__"
-    return cache / f"{source.stem}.{key.hexdigest()[:16]}.so"
+    return source.parent / "__pycache__" / f"{source.stem}.{key.hexdigest()[:16]}.so"
 
 
-def load(source: Path, compiler: str = "gcc", cache_dir: Optional[Path] = None) -> ctypes.CDLL:
-    """The library built from C file ``source``, compiled on first use.
-
-    ``cache_dir`` defaults to the ``__pycache__/`` beside ``source``.
-    """
-    lib = library_path(source, compiler, cache_dir)
+def load(source: Path, compiler: str = "gcc") -> ctypes.CDLL:
+    """The library built from C file ``source``, compiled on first use."""
+    source = Path(source)
+    lib = _library_path(source, compiler)
     if not lib.exists():
-        lib.parent.mkdir(parents=True, exist_ok=True)
-        fd, tmp = tempfile.mkstemp(prefix=f"{lib.stem}.", suffix=".tmp", dir=lib.parent)
+        try:
+            lib.parent.mkdir(parents=True, exist_ok=True)
+            fd, tmp = tempfile.mkstemp(prefix=f"{lib.stem}.", suffix=".tmp", dir=lib.parent)
+        except OSError as exc:
+            raise NativeBuildError(
+                f"cannot write the library built from {source.name} into {lib.parent}: {exc}; "
+                f"import repro once where that directory is writable to build it"
+            ) from exc
         os.close(fd)
         try:
             proc = subprocess.run(

@@ -212,9 +212,16 @@ def test_encoder_rejects_bad_contexts_without_coding():
     enc = mq.MQEncoder(3)
     enc.encode_many([1, 0], [2, 1])
     before = (enc.tell_bytes(), enc.context_states)
-    for contexts in ([0, 3], [-1, 0]):
+    # 2**32 + 1 would narrow to int32 context 1: wide values are checked first.
+    wide = np.array([0, 2**32 + 1], dtype=np.int64)
+    for contexts in ([0, 3], [-1, 0], wide):
         with pytest.raises(ValueError):
             enc.encode_many([1, 1], contexts)
+    with pytest.raises(ValueError):
+        enc.encode_symbols(2 * wide)
+    for context in (3, -1, 2**32 + 1):
+        with pytest.raises(ValueError):
+            enc.encode(1, context)
     assert (enc.tell_bytes(), enc.context_states) == before
     with pytest.raises(ValueError):
         mq.MQEncoder(2, [0, mq.N_STATES])
@@ -226,8 +233,11 @@ def test_decoder_rejects_bad_input_without_decoding():
     ref = mq.MQDecoder(seg, N_CONTEXTS)
     with pytest.raises(ValueError):
         dec.decode_many([0, N_CONTEXTS])
+    for context in (-1, N_CONTEXTS, 2**32 + 1):
+        with pytest.raises(ValueError):
+            dec.decode(context)
     with pytest.raises(ValueError):
-        dec.decode(-1)
+        dec.decode_many(np.array([0, 2**32 + 1], dtype=np.int64))
     bad = [
         np.array([mq.PASS_RUN, 0, 0], dtype=np.int32),  # run column past the end
         np.array([mq.PASS_VISIT | 25], dtype=np.int32),  # zero-coding context 25

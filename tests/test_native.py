@@ -1,8 +1,13 @@
-"""The native build helper: cache, reuse, concurrent first loads, errors."""
+"""The native build helper: cache, reuse, concurrent first loads, errors.
+
+Each test loads a copy of ``mq.c`` from its own temporary directory, so
+the cache beside it, ``__pycache__/``, starts empty.
+"""
 
 from __future__ import annotations
 
 import ctypes
+import re
 import shutil
 import threading
 from pathlib import Path
@@ -12,6 +17,11 @@ import pytest
 from repro import native
 
 SOURCE = Path(__file__).resolve().parents[1] / "src" / "repro" / "ebcot" / "mq.c"
+
+
+@pytest.fixture
+def source(tmp_path):
+    return Path(shutil.copy(SOURCE, tmp_path / "mq.c"))
 
 
 @pytest.fixture
@@ -29,25 +39,24 @@ def _compiles(log: Path) -> int:
     return sum("-shared" in line for line in log.read_text().splitlines())
 
 
-def test_fresh_cache_builds_then_reuses(tmp_path, logging_gcc):
+def test_fresh_cache_builds_then_reuses(source, logging_gcc):
     gcc, log = logging_gcc
-    cache = tmp_path / "cache"
-    lib = native.load(SOURCE, compiler=str(gcc), cache_dir=cache)
+    lib = native.load(source, compiler=str(gcc))
     assert isinstance(lib, ctypes.CDLL) and lib.mq_encode
     assert _compiles(log) == 1
-    assert [p.name for p in cache.iterdir()] == [native.library_path(SOURCE, str(gcc), cache).name]
-    native.load(SOURCE, compiler=str(gcc), cache_dir=cache)
+    cached = list((source.parent / "__pycache__").iterdir())
+    assert len(cached) == 1 and cached[0].name.startswith("mq.") and cached[0].suffix == ".so"
+    native.load(source, compiler=str(gcc))
     assert _compiles(log) == 1
 
 
-def test_concurrent_first_loads(tmp_path, logging_gcc):
+def test_concurrent_first_loads(source, logging_gcc):
     gcc, _ = logging_gcc
-    cache = tmp_path / "cache"
     errors = []
 
     def load():
         try:
-            native.load(SOURCE, compiler=str(gcc), cache_dir=cache)
+            native.load(source, compiler=str(gcc))
         except Exception as exc:  # reported below
             errors.append(exc)
 
@@ -57,18 +66,27 @@ def test_concurrent_first_loads(tmp_path, logging_gcc):
     for t in threads:
         t.join(timeout=120)
     assert not any(t.is_alive() for t in threads) and not errors
-    assert len(list(cache.iterdir())) == 1  # one library, no temporary files
+    # One library, no temporary files.
+    assert len(list((source.parent / "__pycache__").iterdir())) == 1
 
 
-def test_missing_compiler_is_named(tmp_path):
+def test_missing_compiler_is_named(source, tmp_path):
     with pytest.raises(native.NativeBuildError, match="gcc"):
-        native.load(SOURCE, compiler=str(tmp_path / "no-such-gcc"), cache_dir=tmp_path)
+        native.load(source, compiler=str(tmp_path / "no-such-gcc"))
+
+
+def test_unwritable_cache_is_named(source):
+    # A file where the cache directory belongs cannot be written into,
+    # whoever runs the test.
+    cache = source.parent / "__pycache__"
+    cache.write_text("")
+    with pytest.raises(native.NativeBuildError, match=f"cannot write .* into {re.escape(str(cache))}"):
+        native.load(source)
 
 
 def test_compile_error_is_reported_and_cleaned_up(tmp_path):
     bad = tmp_path / "bad.c"
     bad.write_text("int f(void) { return }\n")
-    cache = tmp_path / "cache"
     with pytest.raises(native.NativeBuildError, match="could not build"):
-        native.load(bad, cache_dir=cache)
-    assert list(cache.iterdir()) == []
+        native.load(bad)
+    assert list((tmp_path / "__pycache__").iterdir()) == []
