@@ -6,12 +6,14 @@ Covers the core public API in ~60 lines:
 1. generate a deterministic natural-statistics test image,
 2. encode it losslessly (5/3) and lossy with quality layers (9/7),
 3. decode at several quality layers and measure PSNR,
-4. read the per-stage instrumentation the performance studies build on.
+4. trace the per-stage profile (the paper's Fig. 3 stages) and read the
+   tier-1 work the performance studies build on.
 
 Run:  python examples/quickstart.py
 """
 
 import repro
+from repro.obs import Tracer, stage_table
 
 
 def main() -> None:
@@ -32,11 +34,13 @@ def main() -> None:
 
     # 2b. Lossy coding with three embedded quality layers.
     layers = (0.125, 0.5, 2.0)  # bits per pixel, cumulative
+    tracer = Tracer()
     lossy = repro.encode_image(
         img,
         repro.CodecParams(
             filter_name="9/7", levels=5, base_step=1 / 64, target_bpp=layers
         ),
+        tracer=tracer,
     )
     print(f"lossy 9/7    : {lossy.rate_bpp():5.2f} bpp total, {len(layers)} layers")
 
@@ -47,11 +51,11 @@ def main() -> None:
             f"  layer {k} (<= {bpp:5.3f} bpp): PSNR {repro.psnr(img, rec):5.2f} dB"
         )
 
-    # 4. Per-stage instrumentation (the paper's Fig. 3 pipeline stages).
-    print("\nencoder stage profile (wall seconds of this Python run):")
-    for stage, seconds in lossy.report.seconds_by_stage().items():
-        print(f"  {stage:28s} {seconds:6.3f} s")
-    decisions = lossy.report.stages["tier-1 coding"].work["decisions"]
+    # 4. The traced stage profile (the paper's Fig. 3 pipeline stages) and
+    #    the tier-1 work, which the per-block records carry.
+    title = "encoder stage profile (wall seconds of this Python run)"
+    print("\n" + stage_table(tracer, title=title))
+    decisions = sum(rec.decisions for rec in lossy.blocks)
     print(f"tier-1 MQ decisions: {decisions} ({decisions / img.size:.1f} per pixel)")
 
 

@@ -57,16 +57,8 @@ __all__ = ["main"]
 
 def _cmd_encode(args: argparse.Namespace) -> int:
     img = read_pnm(args.input)
-    if img.ndim == 3 and args.lossless is False and args.filter == "5/3":
-        pass  # color supported on both paths
-    params = CodecParams(
-        levels=args.levels,
-        filter_name="5/3" if args.lossless else args.filter,
-        cb_size=args.cb_size,
-        base_step=args.step,
-        target_bpp=tuple(args.bpp) if args.bpp else None,
-        tile_size=args.tile_size,
-        resilience=args.resilient,
+    params = _params_from_args(
+        args, args.filter, base_step=args.step, resilience=args.resilient
     )
     tracer = None
     if args.trace:
@@ -147,13 +139,7 @@ def _cmd_trace(args: argparse.Namespace) -> int:
     registry = MetricsRegistry()
     if args.trace_command == "encode":
         img = read_pnm(args.input)
-        params = CodecParams(
-            levels=args.levels,
-            filter_name="5/3" if args.lossless else "9/7",
-            cb_size=args.cb_size,
-            target_bpp=tuple(args.bpp) if args.bpp else None,
-            tile_size=args.tile_size,
-        )
+        params = _params_from_args(args)
         result = encode_image(
             img, params, tracer=tracer,
             n_workers=args.workers, backend=args.backend,
@@ -267,13 +253,7 @@ def _cmd_faults_exec(args: argparse.Namespace) -> int:
     from .core.supervise import SupervisionPolicy, supervised
 
     img = read_pnm(args.input)
-    params = CodecParams(
-        levels=args.levels,
-        filter_name="5/3" if args.lossless else "9/7",
-        cb_size=args.cb_size,
-        target_bpp=tuple(args.bpp) if args.bpp else None,
-        tile_size=args.tile_size,
-    )
+    params = _params_from_args(args)
     reference = encode_image(img, params).data
     schedule = [faults.ComputeFault.parse(spec) for spec in args.fault]
     policy = _policy_from_args(args) or SupervisionPolicy()
@@ -649,6 +629,33 @@ def _cmd_experiments(args: argparse.Namespace) -> int:
     return report_main(argv)
 
 
+def _add_codec_args(p: argparse.ArgumentParser) -> None:
+    """Shared codec knobs, read back by :func:`_params_from_args`."""
+    p.add_argument("--lossless", action="store_true", help="reversible 5/3 path")
+    p.add_argument("--levels", type=int, default=5)
+    p.add_argument("--cb-size", type=int, default=64)
+    p.add_argument(
+        "--bpp", type=float, nargs="*", default=None,
+        help="cumulative layer rates in bits/pixel (ascending)",
+    )
+    p.add_argument("--tile-size", type=int, default=0)
+
+
+def _params_from_args(
+    args: argparse.Namespace, filter_name: str = "9/7", **extra
+) -> CodecParams:
+    """CodecParams from :func:`_add_codec_args` flags (``--lossless``
+    overrides ``filter_name``); ``extra`` holds subcommand-only fields."""
+    return CodecParams(
+        levels=args.levels,
+        filter_name="5/3" if args.lossless else filter_name,
+        cb_size=args.cb_size,
+        target_bpp=tuple(args.bpp) if args.bpp else None,
+        tile_size=args.tile_size,
+        **extra,
+    )
+
+
 def _add_backend_args(p: argparse.ArgumentParser) -> None:
     """Shared execution-backend knobs (``--workers`` / ``--backend``)."""
     from .core.backend import BACKEND_NAMES
@@ -712,16 +719,9 @@ def build_parser() -> argparse.ArgumentParser:
     enc = sub.add_parser("encode", help="encode a PGM/PPM image")
     enc.add_argument("input")
     enc.add_argument("output")
-    enc.add_argument("--lossless", action="store_true", help="reversible 5/3 path")
+    _add_codec_args(enc)
     enc.add_argument("--filter", choices=("9/7", "5/3"), default="9/7")
-    enc.add_argument("--levels", type=int, default=5)
-    enc.add_argument("--cb-size", type=int, default=64)
     enc.add_argument("--step", type=float, default=1 / 64, help="base quantizer step")
-    enc.add_argument(
-        "--bpp", type=float, nargs="*", default=None,
-        help="cumulative layer rates in bits/pixel (ascending)",
-    )
-    enc.add_argument("--tile-size", type=int, default=0)
     enc.add_argument(
         "--resilient", action="store_true",
         help="write the v2 error-resilient container (resync framing)",
@@ -755,11 +755,7 @@ def build_parser() -> argparse.ArgumentParser:
     trc_sub = trc.add_subparsers(dest="trace_command", required=True)
     tenc = trc_sub.add_parser("encode", help="trace one encode")
     tenc.add_argument("input")
-    tenc.add_argument("--lossless", action="store_true")
-    tenc.add_argument("--levels", type=int, default=5)
-    tenc.add_argument("--cb-size", type=int, default=64)
-    tenc.add_argument("--bpp", type=float, nargs="*", default=None)
-    tenc.add_argument("--tile-size", type=int, default=0)
+    _add_codec_args(tenc)
     tdec = trc_sub.add_parser("decode", help="trace one decode")
     tdec.add_argument("input")
     tdec.add_argument("--resilient", action="store_true")
@@ -836,11 +832,7 @@ def build_parser() -> argparse.ArgumentParser:
         "e.g. kill:map:0:0 or exc:map:1 or hang:map:0:0:0.2 "
         "(repeatable)",
     )
-    fex.add_argument("--lossless", action="store_true")
-    fex.add_argument("--levels", type=int, default=5)
-    fex.add_argument("--cb-size", type=int, default=64)
-    fex.add_argument("--bpp", type=float, nargs="*", default=None)
-    fex.add_argument("--tile-size", type=int, default=0)
+    _add_codec_args(fex)
     _add_backend_args(fex)
     fex.set_defaults(fn=_cmd_faults_exec)
 

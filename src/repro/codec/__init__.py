@@ -7,13 +7,14 @@ the paper's Fig. 1:
     intra-component (wavelet) transform -> quantization ->
     tier-1 coding -> rate allocation -> tier-2 coding -> bitstream I/O
 
-Every stage is instrumented: the encoder returns an
-:class:`~repro.codec.instrument.EncoderReport` with wall-clock seconds
-and *work statistics* per stage (filter-sweep geometry, tier-1 decision
-counts, bytes moved).  The work statistics are what
+Every stage runs inside a :func:`repro.obs.stage_span`: pass a
+:class:`repro.obs.Tracer` to ``encode_image``/``decode_image`` to get
+the Fig. 3 stage profile (wall-clock seconds, a Python-implementation
+artifact never compared against the paper).  The *work* the stages did
+is read off the :class:`EncodeResult` -- per-block tier-1 decision
+counts in ``blocks``, bytes in ``n_bytes`` -- and is what
 :mod:`repro.perf` converts into simulated milliseconds on the paper's
-machines -- the wall-clock numbers are Python-implementation artifacts
-and are never compared against the paper.
+machines.
 
 Tiling (``CodecParams.tile_size``) runs the whole transform-and-code
 pipeline independently per tile, exactly the "traditional" JPEG-style
@@ -21,7 +22,6 @@ parallelization whose quality collapse Fig. 5 documents.
 """
 
 from .params import CodecParams
-from .instrument import EncoderReport, StageStats
 from .blocks import BandLayout, BlockInfo, band_layouts, resolution_bands
 from .encoder import encode_image, EncodeResult
 from .decoder import decode_image
@@ -29,8 +29,6 @@ from .resilience import DecodeReport, TileStats
 
 __all__ = [
     "CodecParams",
-    "EncoderReport",
-    "StageStats",
     "BandLayout",
     "BlockInfo",
     "band_layouts",

@@ -30,6 +30,7 @@ from typing import Dict, List, Optional, Tuple, Union
 
 import numpy as np
 
+from ..core.supervise import call_backend, resolve_policy
 from ..obs.tracer import StageSwitcher, stage_span
 from ..quant.deadzone import DeadzoneQuantizer
 from ..tier2.codestream import CodestreamError, read_codestream, scan_codestream
@@ -101,52 +102,23 @@ def decode_image(
     numpy.ndarray, or (numpy.ndarray, DecodeReport) when ``resilient``
         The reconstructed image, dtype ``uint8``/``uint16`` by bit depth.
     """
-    report: Optional[DecodeReport] = None
-    from ..core.supervise import resolve_policy
-
     policy = resolve_policy(supervise)
-    owned_bk = sup = None
-    owned = False
-    if backend is not None or policy is not None:
-        # Resolve a backend *name* (``None`` = serial: supervision needs
-        # a backend to supervise) once up front so every tile-part (and
-        # the inverse DWT) shares one worker pool instead of spawning a
-        # fresh pool per tile.
-        from ..core.backend import resolve_backend
-
-        backend, owned = resolve_backend(backend, n_workers)
-        if owned:
-            owned_bk = backend
-    if policy is not None:
-        from ..core.supervise import supervised
-
-        backend = sup = supervised(
-            backend, policy, metrics=metrics, owns_inner=owned
-        )
-        if owned:
-            owned_bk = sup  # closing the wrapper closes the inner pool
-    try:
-        out = _decode_image_impl(
-            data, max_layer, n_workers, resilient, tracer, backend, report
-        )
-        if sup is not None and isinstance(out, tuple):
-            out[1].supervision = sup.report
+    with call_backend(backend, n_workers, policy, metrics) as bk:
+        out = _decode_image_impl(data, max_layer, resilient, tracer, bk)
+        if policy is not None and resilient:
+            out[1].supervision = bk.report
         return out
-    finally:
-        if owned_bk is not None:
-            owned_bk.close()
 
 
 def _decode_image_impl(
     data: bytes,
     max_layer: Optional[int],
-    n_workers: int,
     resilient: bool,
     tracer,
     backend,
-    report: Optional[DecodeReport],
 ) -> Union[np.ndarray, Tuple[np.ndarray, DecodeReport]]:
     """Body of :func:`decode_image`; ``backend`` is resolved (or None)."""
+    report: Optional[DecodeReport] = None
     with stage_span(tracer, "bitstream I/O"):
         if resilient:
             stream, scan = scan_codestream(data)
@@ -198,7 +170,6 @@ def _decode_image_impl(
                         p.n_layers,
                         n_layers,
                         roi_shift=p.roi_shift,
-                        n_workers=n_workers,
                         framed=p.resilient,
                         stats=stats,
                         tracer=tracer,
@@ -278,7 +249,6 @@ def _decode_tile(
     n_layers_total: int,
     n_layers_decode: int,
     roi_shift: int = 0,
-    n_workers: int = 1,
     framed: bool = False,
     stats: Optional[TileStats] = None,
     tracer=None,
@@ -296,7 +266,7 @@ def _decode_tile(
     try:
         return _decode_tile_staged(
             payload, tile_h, tile_w, params, n_layers_total, n_layers_decode,
-            roi_shift, n_workers, framed, stats, tracer, stages, backend,
+            roi_shift, framed, stats, tracer, stages, backend,
         )
     finally:
         stages.finish()
@@ -310,7 +280,6 @@ def _decode_tile_staged(
     n_layers_total: int,
     n_layers_decode: int,
     roi_shift: int,
-    n_workers: int,
     framed: bool,
     stats: Optional[TileStats],
     tracer,
@@ -476,7 +445,6 @@ def _decode_tile_staged(
 
     outs = parallel_decode_blocks(
         jobs,
-        n_workers=n_workers,
         on_error="conceal" if resilient else "raise",
         stats=stats,
         tracer=tracer,

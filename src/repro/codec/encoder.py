@@ -3,8 +3,10 @@
 ``encode_image`` runs the full Fig. 1 pipeline -- wavelet transform,
 quantization, tier-1 coding of independent code-blocks, PCRD rate
 allocation, tier-2 packetization -- and returns the codestream together
-with the per-stage instrumentation and per-block records that drive the
-parallel-performance experiments.
+with the per-block records that drive the parallel-performance
+experiments.  Every stage of the paper's Fig. 3 runs inside a
+:func:`repro.obs.stage_span`, so a :class:`repro.obs.Tracer` gets the
+serial stage profile; without one no clock is read.
 
 Tiling support: with ``params.tile_size > 0`` every tile is transformed
 and coded independently (the JPEG-style parallelization of Sec. 3.1);
@@ -19,7 +21,9 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from ..core.supervise import call_backend, resolve_policy
 from ..ebcot.t1 import EncodedBlock, encode_codeblock
+from ..obs.tracer import stage_span
 from ..quant.deadzone import DeadzoneQuantizer
 from ..rate.pcrd import BlockRateInfo, allocate_layers
 from ..tier2.codestream import CodestreamParams, TilePart, write_codestream
@@ -27,7 +31,6 @@ from ..tier2.framing import write_frame
 from ..tier2.packet import BandState, BlockContribution, PacketWriter
 from ..wavelet.dwt2d import dwt2d, synthesis_energy_gain
 from .blocks import BlockInfo, band_layouts, resolution_bands
-from .instrument import EncoderReport
 from .params import CodecParams
 
 __all__ = ["BlockRecord", "EncodeResult", "encode_image"]
@@ -57,7 +60,6 @@ class EncodeResult:
     """Output of :func:`encode_image`."""
 
     data: bytes
-    report: EncoderReport
     blocks: List[BlockRecord]
     params: CodecParams
     image_shape: Tuple[int, int]
@@ -123,8 +125,9 @@ def encode_image(
     pipeline.
 
     ``tracer`` (optional, a :class:`repro.obs.Tracer`) records one span
-    per stage with the work counters attached; ``None`` (the default)
-    allocates no spans.
+    per stage; ``None`` (the default) allocates no spans.  The work a
+    stage did is read off the result: tier-1 decisions from ``blocks``,
+    bytes from ``n_bytes``, samples from ``image_shape``.
 
     ``n_workers``/``backend`` run tier-1 code-block coding on an
     execution backend (``serial``/``processes``, or a live
@@ -145,31 +148,12 @@ def encode_image(
     :class:`~repro.obs.MetricsRegistry`) additionally receives
     ``repro_supervisor_*`` counters as events happen.
     """
-    report = EncoderReport(tracer=tracer)
-    from ..core.supervise import resolve_policy
-
     policy = resolve_policy(supervise, params.supervision)
-    bk = owned_bk = sup = None
-    if backend is not None or n_workers > 1 or policy is not None:
-        from ..core.backend import resolve_backend
-        from ..core.supervise import SupervisedBackend
-
-        bk, owned = resolve_backend(backend, n_workers)
-        if owned:
-            owned_bk = bk
+    with call_backend(backend, n_workers, policy, metrics) as bk:
+        result = _encode_image_impl(image, params, roi_mask, tracer, bk)
         if policy is not None:
-            bk = sup = SupervisedBackend(
-                bk, policy, metrics=metrics, owns_inner=owned
-            )
-            owned_bk = sup
-    try:
-        result = _encode_image_impl(image, params, roi_mask, tracer, report, bk)
-        if sup is not None:
-            result.supervision = sup.report
+            result.supervision = bk.report
         return result
-    finally:
-        if owned_bk is not None:
-            owned_bk.close()
 
 
 def _encode_image_impl(
@@ -177,12 +161,11 @@ def _encode_image_impl(
     params: CodecParams,
     roi_mask: Optional[np.ndarray],
     tracer,
-    report: EncoderReport,
     bk,
 ) -> EncodeResult:
     """Body of :func:`encode_image`; ``bk`` is a resolved backend or None."""
 
-    with report.timed("image I/O") as st:
+    with stage_span(tracer, "image I/O"):
         img = np.asarray(image)
         if img.ndim == 3 and img.shape[2] == 3:
             n_components = 3
@@ -195,30 +178,16 @@ def _encode_image_impl(
         if img.size == 0:
             raise ValueError("cannot encode an empty image")
         height, width = img.shape[:2]
-        st.add_work(samples=img.size, bytes_read=img.size * img.dtype.itemsize)
 
-    with report.timed("pipeline setup") as st:
+    with stage_span(tracer, "pipeline setup"):
         shift = 1 << (params.bit_depth - 1)
         quantizer = (
             DeadzoneQuantizer(params.base_step, params.filter_name)
             if params.filter_name == "9/7"
             else None
         )
-        st.add_work(
-            tiles=CodestreamParams(
-                height=height,
-                width=width,
-                bit_depth=params.bit_depth,
-                levels=params.levels,
-                filter_name=params.filter_name,
-                cb_size=params.cb_size,
-                n_layers=params.n_layers,
-                tile_size=params.tile_size,
-                base_step=params.base_step,
-            ).n_tiles
-        )
 
-    with report.timed("inter-component transform") as st:
+    with stage_span(tracer, "inter-component transform"):
         # Grayscale: the stage exists in the pipeline (and in Fig. 3's
         # legend) but does no arithmetic.  Color: RCT (reversible, 5/3
         # path) or ICT (9/7 path) on level-shifted samples; chroma
@@ -228,7 +197,6 @@ def _encode_image_impl(
                 planes = [img.astype(np.int64) - shift]
             else:
                 planes = [img.astype(np.float64) - shift]
-            st.add_work(samples=0)
         else:
             from .color import ict_forward, rct_forward
 
@@ -240,7 +208,6 @@ def _encode_image_impl(
                 planes = [
                     np.asarray(c) for c in ict_forward(shifted_rgb)
                 ]
-            st.add_work(samples=img.size)
 
     blocks: List[BlockRecord] = []
     tile_band_data: List[Dict[Tuple[int, str], List[Tuple[BlockInfo, EncodedBlock, int]]]] = []
@@ -265,15 +232,11 @@ def _encode_image_impl(
     part_tiles: List[Tuple[int, int]] = []
     for tile_index, comp in part_order:
         tile = _tile_views(planes[comp], params.tile_size)[tile_index][1]
-        with report.timed("intra-component transform") as st:
+        with stage_span(tracer, "intra-component transform"):
             eff_levels = params.effective_levels(*tile.shape)
             subbands = dwt2d(tile, eff_levels, params.filter_name)
-            st.add_work(
-                samples=tile.size,
-                dwt_geometry=[(tile.shape[0], tile.shape[1], eff_levels)],
-            )
 
-        with report.timed("quantization") as st:
+        with stage_span(tracer, "quantization"):
             if quantizer is not None:
                 qbands = quantizer.quantize_subbands(subbands)
             else:
@@ -281,7 +244,6 @@ def _encode_image_impl(
                     (lev, o): np.asarray(b, dtype=np.int32)
                     for lev, o, b in subbands.iter_bands()
                 }
-            st.add_work(samples=tile.size)
         part_qbands.append(qbands)
         part_tiles.append(tile.shape)
         tile_levels.append(eff_levels)
@@ -289,7 +251,7 @@ def _encode_image_impl(
 
     roi_shift = 0
     if roi_mask is not None:
-        with report.timed("quantization") as st:
+        with stage_span(tracer, "quantization"):
             from .roi import apply_max_shift, band_roi_mask, roi_shift_for
 
             part_masks: List[Dict[Tuple[int, str], np.ndarray]] = []
@@ -313,7 +275,6 @@ def _encode_image_impl(
                 part_qbands[idx] = apply_max_shift(
                     part_qbands[idx], part_masks[idx], roi_shift
                 )
-            st.add_work(roi_shift=roi_shift)
 
     # Phase B: tier-1 code every part from its (possibly ROI-shifted)
     # quantized bands.
@@ -321,10 +282,9 @@ def _encode_image_impl(
         qbands = part_qbands[part_idx]
         eff_levels = tile_levels[part_idx]
         tile_shape = part_tiles[part_idx]
-        with report.timed("tier-1 coding") as st:
+        with stage_span(tracer, "tier-1 coding"):
             layouts = band_layouts(tile_shape[0], tile_shape[1], eff_levels, params.cb_size)
             band_data: Dict[Tuple[int, str], List[Tuple[BlockInfo, EncodedBlock, int]]] = {}
-            decisions = 0
             # Collect this part's code-blocks in scan order, tier-1 code
             # them (on the worker pool when a backend is active -- block
             # order, and therefore the codestream, is backend-invariant),
@@ -368,8 +328,6 @@ def _encode_image_impl(
                     )
                 )
                 band_data[key].append((binfo, eb, gid))
-                decisions += eb.total_decisions()
-            st.add_work(decisions=decisions, blocks=len(blocks))
         tile_band_data.append(band_data)
 
     infos = [
@@ -388,7 +346,7 @@ def _encode_image_impl(
     # header size is nearly allocation-independent).
     overheads: Optional[List[float]] = None
     for _ in range(3):
-        with report.timed("R/D allocation") as st:
+        with stage_span(tracer, "R/D allocation"):
             if params.target_bpp is None:
                 layer_passes = [[info.n_passes for info in infos]]
             else:
@@ -398,9 +356,8 @@ def _encode_image_impl(
                         max(b - o, b * 0.05) for b, o in zip(budgets, overheads)
                     ]
                 layer_passes = allocate_layers(infos, budgets)
-            st.add_work(blocks=len(infos), layers=len(layer_passes))
 
-        with report.timed("tier-2 coding") as st:
+        with stage_span(tracer, "tier-2 coding"):
             tile_parts = []
             t2_bytes = 0
             for part_idx in range(len(part_order)):
@@ -413,7 +370,6 @@ def _encode_image_impl(
                 )
                 tile_parts.append(TilePart(index=part_idx, packets=payload))
                 t2_bytes += len(payload)
-            st.add_work(bytes_written=t2_bytes)
 
         if params.target_bpp is None:
             break
@@ -440,7 +396,7 @@ def _encode_image_impl(
             break
         overheads = new_overheads
 
-    with report.timed("bitstream I/O") as st:
+    with stage_span(tracer, "bitstream I/O"):
         cs_params = CodestreamParams(
             height=height,
             width=width,
@@ -456,11 +412,9 @@ def _encode_image_impl(
             resilient=params.resilience,
         )
         data = write_codestream(cs_params, tile_parts)
-        st.add_work(bytes_written=len(data))
 
     return EncodeResult(
         data=data,
-        report=report,
         blocks=blocks,
         params=params,
         image_shape=(height, width),

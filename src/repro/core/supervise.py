@@ -36,9 +36,10 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from contextlib import contextmanager
+from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple
 
-from .backend import Attempt, ExecutionBackend, get_backend
+from .backend import Attempt, ExecutionBackend, get_backend, resolve_backend
 
 __all__ = [
     "DEGRADATION_LADDER",
@@ -48,6 +49,7 @@ __all__ = [
     "SupervisionEvent",
     "SupervisionPolicy",
     "SupervisionReport",
+    "call_backend",
     "resolve_policy",
     "supervised",
 ]
@@ -103,13 +105,12 @@ class SupervisionEvent:
     """One thing the supervisor did or observed."""
 
     kind: str  # retry | rebuild | degrade | timeout | deadline | worker-death | kernel-error | give-up
-    op: str  # map
     backend: str  # ladder name of the rung at the time
     detail: str = ""
 
     def __str__(self) -> str:  # pragma: no cover - cosmetic
         tail = f": {self.detail}" if self.detail else ""
-        return f"[{self.backend}/{self.op}] {self.kind}{tail}"
+        return f"[{self.backend}] {self.kind}{tail}"
 
 
 @dataclass
@@ -158,10 +159,10 @@ def _ladder_name(backend: ExecutionBackend) -> str:
 class SupervisedBackend(ExecutionBackend):
     """Fault-tolerant wrapper around any execution backend.
 
-    Drop-in for the wrapped backend: its attempt is the retry loop
-    :meth:`_drive`, whose :class:`Attempt` holds only persistent kernel
-    errors, so the inherited ``map_shares`` keeps its exact contract
-    (including per-item error capture for concealment)
+    Drop-in for the wrapped backend: its attempt is the retry loop,
+    whose :class:`Attempt` holds only persistent kernel errors, so the
+    inherited ``map_shares`` keeps its exact contract (including
+    per-item error capture for concealment)
     and just survive worker death, hangs and transient kernel faults
     along the way.  Degradation is sticky -- once the
     wrapper has stepped down to ``serial`` it stays there, because a
@@ -218,14 +219,14 @@ class SupervisedBackend(ExecutionBackend):
                 f"Supervision {metric.replace('_', ' ')}.",
             ).inc()
 
-    def _event(self, kind: str, op: str, counter: Optional[str],
+    def _event(self, kind: str, counter: Optional[str],
                detail: str = "") -> None:
-        self.report.add(SupervisionEvent(kind, op, _ladder_name(self._rung), detail))
+        self.report.add(SupervisionEvent(kind, _ladder_name(self._rung), detail))
         if counter is not None:
             setattr(self.report, counter, getattr(self.report, counter) + 1)
             self._count(counter)
 
-    def _next_rung(self, op: str) -> Optional[ExecutionBackend]:
+    def _next_rung(self) -> Optional[ExecutionBackend]:
         """Create (and adopt) the next ladder rung below the current one."""
         current = _ladder_name(self._rung)
         try:
@@ -237,7 +238,7 @@ class SupervisedBackend(ExecutionBackend):
         name = DEGRADATION_LADDER[idx + 1]
         rung = get_backend(name, self.n_workers)
         self._created.append(rung)
-        self._event("degrade", op, "degradations", f"{current} -> {name}")
+        self._event("degrade", "degradations", f"{current} -> {name}")
         return rung
 
     def _stamp(self, ph, before: Tuple[int, ...]) -> None:
@@ -256,20 +257,25 @@ class SupervisedBackend(ExecutionBackend):
                 ph.attrs[attr_name] = ph.attrs.get(attr_name, 0) + delta
         ph.attrs["supervision.backend"] = _ladder_name(self._rung)
 
-    # -- the supervision loop ------------------------------------------------
+    # -- ExecutionBackend API ------------------------------------------------
+    #
+    # ``deadline`` is unused: the policy's phase timeout and
+    # :attr:`call_deadline` bound every inner attempt.
 
-    def _drive(
-        self,
-        op: str,
-        pending: Dict[Any, None],
-        run: Callable[[ExecutionBackend, Sequence[Any], Optional[float]], Attempt],
-        ph=None,
-    ) -> Attempt:
-        """Run attempts until ``pending`` drains; returns every unit's
+    def map_shares_attempt(self, kernel, shares, deadline=None,
+                           ph=None, label="cb") -> Attempt:
+        """Run attempts until every item has run; returns every item's
         result plus the surviving kernel-level failures (empty unless
         the bottom rung kept failing).  Raises :class:`SupervisionError`
-        for units that could never be *run* once every retry and rung is
+        for items that could never be *run* once every retry and rung is
         spent."""
+        payloads: Dict[int, Any] = {}
+        deal: List[List[int]] = []
+        for share in shares:
+            deal.append([i for i, _ in share])
+            for i, payload in share:
+                payloads[int(i)] = payload
+        pending: Dict[int, None] = dict.fromkeys(payloads)
         policy = self.policy
         before = (self.report.retries, self.report.pool_rebuilds,
                   self.report.degradations, self.report.timeouts,
@@ -283,18 +289,25 @@ class SupervisedBackend(ExecutionBackend):
                 remaining = self.call_deadline - self.clock()
                 if remaining <= 0:
                     self._event(
-                        "deadline", op, "timeouts",
+                        "deadline", "timeouts",
                         f"call deadline expired pre-dispatch "
                         f"({len(pending)} unit(s) pending)",
                     )
                     self.report.final_backend = _ladder_name(self._rung)
                     self._stamp(ph, before)
                     raise DeadlineExpired(
-                        f"{op}: call deadline expired with "
+                        f"map: call deadline expired with "
                         f"{len(pending)} unit(s) pending"
                     )
                 timeout = remaining if timeout is None else min(timeout, remaining)
-            att = run(self._rung, list(pending), timeout)
+            # Keep the original deal, filtered to the still-pending
+            # items; order within a share is preserved so execution
+            # order -- hence fault determinism -- is stable.
+            sub = [[(i, payloads[i]) for i in idxs if i in pending]
+                   for idxs in deal]
+            att = self._rung.map_shares_attempt(
+                kernel, sub, deadline=timeout, ph=ph, label=label
+            )
             for key in att.results:
                 pending.pop(key, None)
                 out.failed.pop(key, None)
@@ -302,22 +315,22 @@ class SupervisedBackend(ExecutionBackend):
             if att.failed:
                 out.failed.update(att.failed)
                 self._event(
-                    "kernel-error", op, "kernel_errors",
+                    "kernel-error", "kernel_errors",
                     f"{len(att.failed)} unit(s): {next(iter(att.failed.values()))!r}",
                 )
             if att.fatal is not None:
-                self._event("worker-death", op, "worker_deaths", att.broken)
+                self._event("worker-death", "worker_deaths", att.broken)
             if att.timed_out:
-                self._event("timeout", op, "timeouts",
+                self._event("timeout", "timeouts",
                             f"deadline {timeout}s expired")
             if not pending:
                 break
             if att.fatal is not None or att.timed_out:
                 self._rung.rebuild()
-                self._event("rebuild", op, "pool_rebuilds")
+                self._event("rebuild", "pool_rebuilds")
             if retries_left > 0:
                 retries_left -= 1
-                self._event("retry", op, "retries",
+                self._event("retry", "retries",
                             f"{len(pending)} unit(s) pending")
                 delay = policy.backoff(retry_index)
                 retry_index += 1
@@ -325,7 +338,7 @@ class SupervisedBackend(ExecutionBackend):
                     time.sleep(delay)
                 continue
             # Retry budget spent on this rung: degrade or give up.
-            rung = self._next_rung(op) if policy.degrade else None
+            rung = self._next_rung() if policy.degrade else None
             if rung is not None:
                 self._rung = rung
                 retries_left = policy.max_retries
@@ -333,12 +346,12 @@ class SupervisedBackend(ExecutionBackend):
                 continue
             unrun = [k for k in pending if k not in out.failed]
             if unrun:
-                self._event("give-up", op, None,
+                self._event("give-up", None,
                             f"{len(unrun)} unit(s) never ran")
                 self.report.final_backend = _ladder_name(self._rung)
                 self._stamp(ph, before)
                 raise SupervisionError(
-                    f"{op}: {len(unrun)} unit(s) unrun after "
+                    f"map: {len(unrun)} unit(s) unrun after "
                     f"{self.report.retries} retries on rung "
                     f"{_ladder_name(self._rung)!r} (degrade="
                     f"{policy.degrade})"
@@ -350,36 +363,6 @@ class SupervisedBackend(ExecutionBackend):
         self.report.final_backend = _ladder_name(self._rung)
         self._stamp(ph, before)
         return out
-
-    # -- ExecutionBackend API ------------------------------------------------
-    #
-    # ``deadline`` is unused: the policy's phase timeout and
-    # :attr:`call_deadline` bound every inner attempt.
-
-    def map_shares_attempt(self, kernel, shares, deadline=None,
-                           ph=None, label="cb") -> Attempt:
-        payloads: Dict[int, Any] = {}
-        deal: List[List[int]] = []
-        for share in shares:
-            deal.append([i for i, _ in share])
-            for i, payload in share:
-                payloads[int(i)] = payload
-        pending: Dict[int, None] = dict.fromkeys(payloads)
-
-        def run(bk, units, timeout):
-            want = set(units)
-            # Keep the original deal, filtered to the still-pending
-            # items; order within a share is preserved so execution
-            # order -- hence fault determinism -- is stable.
-            sub = [
-                [(i, payloads[i]) for i in idxs if i in want]
-                for idxs in deal
-            ]
-            return bk.map_shares_attempt(
-                kernel, sub, deadline=timeout, ph=ph, label=label
-            )
-
-        return self._drive("map", pending, run, ph=ph)
 
 
 def resolve_policy(supervise, fallback: Optional[SupervisionPolicy] = None):
@@ -399,6 +382,39 @@ def resolve_policy(supervise, fallback: Optional[SupervisionPolicy] = None):
     raise TypeError(
         f"supervise must be None/bool/SupervisionPolicy, not {type(supervise).__name__}"
     )
+
+
+@contextmanager
+def call_backend(
+    backend=None,
+    n_workers: int = 1,
+    policy: Optional[SupervisionPolicy] = None,
+    metrics=None,
+) -> Iterator[Optional[ExecutionBackend]]:
+    """The backend one encode or decode call runs its tier-1 on.
+
+    Yields ``None`` (run in place) unless the caller passes a backend
+    (a name or a live instance), asks for ``n_workers > 1`` or passes a
+    ``policy``; then the resolved backend, wrapped in a
+    :class:`SupervisedBackend` when ``policy`` is set.  One instance
+    serves every tile-part of the call.  On exit it closes exactly what
+    it created -- the pool it resolved from a name and the supervisor
+    it wrapped -- and never a live backend the caller passed in.
+    """
+    if backend is None and n_workers <= 1 and policy is None:
+        yield None
+        return
+    inner, owned = resolve_backend(backend, n_workers)
+    bk = inner
+    try:
+        if policy is not None:
+            bk = supervised(inner, policy, metrics=metrics, owns_inner=owned)
+        yield bk
+    finally:
+        if bk is not inner:
+            bk.close()  # closes ``inner`` too when it is ours
+        elif owned:
+            inner.close()
 
 
 def supervised(

@@ -256,16 +256,24 @@ class StageSwitcher:
             cm.__exit__(None, None, None)
 
 
+#: The shared no-op context of untraced stages (``nullcontext`` keeps no
+#: state, so one instance serves every call site and thread).
+_NO_SPAN = nullcontext()
+
+
 def stage_span(tracer: Optional[Tracer], name: str):
     """Span for one Fig.-3 pipeline stage, or a no-op without a tracer.
 
     The zero-cost-by-default entry point for instrumented call sites:
     ``with stage_span(tracer, "tier-1 coding"): ...`` allocates nothing
-    when ``tracer`` is ``None``.  Stages in :data:`PARALLEL_STAGES` are
-    marked parallelizable for the Amdahl accounting.
+    and reads no clock when ``tracer`` is ``None``.  Stages in
+    :data:`PARALLEL_STAGES` are marked parallelizable for the Amdahl
+    accounting; a name outside :data:`STAGE_NAMES` raises ``ValueError``.
     """
     if tracer is None:
-        return nullcontext()
+        return _NO_SPAN
+    if name not in STAGE_NAMES:
+        raise ValueError(f"unknown stage {name!r}")
     return tracer.span(name, category="stage", parallel=name in PARALLEL_STAGES)
 
 

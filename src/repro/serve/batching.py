@@ -21,6 +21,7 @@ from __future__ import annotations
 import threading
 import time
 from collections import deque
+from contextlib import nullcontext
 from typing import Any, Callable, List, Optional, Sequence, Tuple
 
 from ..codec import CodecParams, decode_image, encode_image
@@ -146,34 +147,24 @@ def execute_request(
     sup.call_deadline = request.deadline
     t0 = clock()
     try:
-        if request.op == "encode":
-            params = request.params if request.params is not None else CodecParams()
-            if tracer is not None:
-                with tracer.phase(f"serve.encode.b{batch_size}"):
-                    value = encode_image(
-                        request.payload, params,
-                        backend=sup, n_workers=pool.workers,
-                    ).data
-            else:
+        if request.op not in ("encode", "decode"):
+            raise ValueError(f"unknown op {request.op!r}")
+        phase = (
+            tracer.phase(f"serve.{request.op}.b{batch_size}")
+            if tracer is not None else nullcontext()
+        )
+        with phase:
+            if request.op == "encode":
+                params = request.params if request.params is not None else CodecParams()
                 value = encode_image(
                     request.payload, params,
                     backend=sup, n_workers=pool.workers,
                 ).data
-        elif request.op == "decode":
-            kwargs = dict(request.params or {})
-            if tracer is not None:
-                with tracer.phase(f"serve.decode.b{batch_size}"):
-                    value = decode_image(
-                        request.payload, backend=sup,
-                        n_workers=pool.workers, **kwargs,
-                    )
             else:
                 value = decode_image(
                     request.payload, backend=sup,
-                    n_workers=pool.workers, **kwargs,
+                    n_workers=pool.workers, **dict(request.params or {}),
                 )
-        else:
-            raise ValueError(f"unknown op {request.op!r}")
     except DeadlineExpired as exc:
         return Rejected(DEADLINE, str(exc))
     except Exception as exc:  # codec errors answer the request, not kill the server

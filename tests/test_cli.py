@@ -87,3 +87,83 @@ class TestEncodeDecode:
                      "--cb-size", "16"]) == 0
         assert main(["decode", str(out), str(back)]) == 0
         assert np.array_equal(read_pnm(str(back)), rgb)
+
+
+# Option strings of the subcommands that share the codec flags, with
+# each option's (dest, default): the shared helper must not change them.
+_CODEC_FLAGS = {
+    "--lossless": ("lossless", False),
+    "--levels": ("levels", 5),
+    "--cb-size": ("cb_size", 64),
+    "--bpp": ("bpp", None),
+    "--tile-size": ("tile_size", 0),
+}
+_BACKEND_FLAGS = {
+    "--workers": ("workers", 1),
+    "--backend": ("backend", None),
+}
+_SUPERVISION_FLAGS = {
+    "--supervise": ("supervise", False),
+    "--max-retries": ("max_retries", None),
+    "--phase-timeout": ("phase_timeout", None),
+    "--no-degrade": ("no_degrade", False),
+}
+_HELP = {"-h/--help": ("help", "==SUPPRESS==")}
+
+
+@pytest.mark.parametrize(
+    "path, expected",
+    [
+        (("encode",), {
+            **_HELP, **_CODEC_FLAGS, **_BACKEND_FLAGS, **_SUPERVISION_FLAGS,
+            "--filter": ("filter", "9/7"),
+            "--step": ("step", 1 / 64),
+            "--resilient": ("resilient", False),
+            "--verify": ("verify", False),
+            "--trace": ("trace", False),
+        }),
+        (("trace", "encode"), {
+            **_HELP, **_CODEC_FLAGS, **_BACKEND_FLAGS,
+            "--trace-out": ("trace_out", None),
+            "--format": ("format", "table"),
+        }),
+        (("faults", "exec"), {
+            **_HELP, **_CODEC_FLAGS, **_BACKEND_FLAGS, **_SUPERVISION_FLAGS,
+            "-o/--output": ("output", None),
+            "--fault": ("fault", None),
+        }),
+    ],
+)
+def test_codec_subcommand_options(path, expected):
+    import argparse
+
+    from repro.cli import build_parser
+
+    parser = build_parser()
+    for name in path:
+        sub = next(a for a in parser._actions
+                   if isinstance(a, argparse._SubParsersAction))
+        parser = sub.choices[name]
+    got = {
+        "/".join(a.option_strings): (a.dest, a.default)
+        for a in parser._actions if a.option_strings
+    }
+    assert got == expected
+
+
+def test_codec_params_from_flags():
+    from repro.cli import _params_from_args, build_parser
+
+    ap = build_parser()
+    args = ap.parse_args(["encode", "a", "b", "--filter", "5/3", "--bpp", "1",
+                          "2", "--tile-size", "32", "--resilient"])
+    p = _params_from_args(args, args.filter, base_step=args.step,
+                          resilience=args.resilient)
+    assert (p.filter_name, p.target_bpp, p.tile_size, p.resilience) == (
+        "5/3", (1.0, 2.0), 32, True
+    )
+    args = ap.parse_args(["trace", "encode", "a", "--lossless", "--levels", "3"])
+    p = _params_from_args(args)
+    assert (p.filter_name, p.levels, p.cb_size, p.target_bpp) == ("5/3", 3, 64, None)
+    args = ap.parse_args(["faults", "exec", "a", "--fault", "exc", "--cb-size", "32"])
+    assert _params_from_args(args).filter_name == "9/7"

@@ -11,6 +11,8 @@ from repro.codec import (
     resolution_bands,
 )
 from repro.image import SyntheticSpec, psnr, synthetic_image
+from repro.obs import Tracer
+from repro.tier2.codestream import read_codestream
 
 
 class TestParams:
@@ -180,7 +182,9 @@ class TestTiling:
         res = encode_image(
             medium_image, CodecParams(levels=2, base_step=1 / 64, cb_size=32, tile_size=64)
         )
-        assert res.report.stages["pipeline setup"].work["tiles"] == 4
+        stream = read_codestream(res.data)
+        assert stream.params.n_tiles == 4 and len(stream.tiles) == 4
+        assert {rec.tile_index for rec in res.blocks} == {0, 1, 2, 3}
 
     def test_non_dividing_tile_size(self):
         img = synthetic_image(SyntheticSpec(50, 70, "mix", seed=14))
@@ -192,9 +196,19 @@ class TestTiling:
         assert psnr(img, rec) > 40
 
 
+@pytest.fixture(scope="module")
+def traced_medium(medium_image):
+    """The ``encoded_medium`` encode under a tracer: (result, tracer)."""
+    tr = Tracer()
+    res = encode_image(
+        medium_image, CodecParams(levels=3, base_step=1 / 64, cb_size=32), tracer=tr
+    )
+    return res, tr
+
+
 class TestInstrumentation:
-    def test_all_stages_recorded(self, encoded_medium):
-        stages = encoded_medium.report.seconds_by_stage()
+    def test_all_stages_recorded(self, traced_medium):
+        stages = traced_medium[1].stage_seconds()
         for name in (
             "image I/O",
             "intra-component transform",
@@ -207,11 +221,15 @@ class TestInstrumentation:
             assert name in stages
             assert stages[name] >= 0
 
-    def test_work_counters(self, encoded_medium):
-        rep = encoded_medium.report
-        assert rep.stages["tier-1 coding"].work["decisions"] > 0
-        assert rep.stages["intra-component transform"].work["samples"] == 128 * 128
-        assert rep.stages["bitstream I/O"].work["bytes_written"] == encoded_medium.n_bytes
+    def test_work_counters(self, traced_medium, encoded_medium):
+        # Stage spans carry no counters: the work is read off the result.
+        res, _ = traced_medium
+        assert res.data == encoded_medium.data
+        assert sum(rec.decisions for rec in res.blocks) > 0
+        assert res.image_shape == (128, 128)
+        # The transform's samples are exactly what the code-blocks cover.
+        assert sum(rec.n_samples for rec in res.blocks) == 128 * 128
+        assert res.n_bytes == len(res.data) > 0
 
     def test_block_records(self, encoded_medium):
         assert encoded_medium.blocks

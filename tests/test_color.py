@@ -9,6 +9,8 @@ from hypothesis.extra import numpy as hnp
 from repro.codec import CodecParams, decode_image, encode_image
 from repro.codec.color import ict_forward, ict_inverse, rct_forward, rct_inverse
 from repro.image import SyntheticSpec, psnr, synthetic_image
+from repro.obs import Tracer
+from repro.tier2.codestream import read_codestream
 
 _rgb_arrays = hnp.arrays(
     dtype=np.int64,
@@ -113,5 +115,8 @@ class TestColorCodec:
 
     def test_inter_component_work_counted(self):
         rgb = _color_image(32)
-        res = encode_image(rgb, CodecParams(levels=2, cb_size=16))
-        assert res.report.stages["inter-component transform"].work["samples"] > 0
+        tr = Tracer()
+        res = encode_image(rgb, CodecParams(levels=2, cb_size=16), tracer=tr)
+        assert tr.stage_seconds()["inter-component transform"] > 0
+        assert read_codestream(res.data).params.n_components == 3
+        assert sum(rec.n_samples for rec in res.blocks) == rgb.size

@@ -52,8 +52,7 @@ class TestRealToSimulatedPipeline:
 
     def test_workload_matches_real_decisions(self, encoded_medium):
         wl = workload_from_encode_result(encoded_medium)
-        t1_work = encoded_medium.report.stages["tier-1 coding"].work
-        assert wl.total_decisions == t1_work["decisions"]
+        assert wl.total_decisions == sum(rec.decisions for rec in encoded_medium.blocks)
 
 
 class TestParallelEncoderEquivalence:

@@ -1,12 +1,12 @@
-"""Depth tests for smaller paths: instrumentation, codestream framing,
+"""Depth tests for smaller paths: stage spans, codestream framing,
 Huffman length-limiting, helpers."""
 
 import numpy as np
 import pytest
 
 from repro.baselines.jpeg.huffman import build_code_lengths, canonical_codes
-from repro.codec.instrument import EncoderReport, STAGE_NAMES, StageStats
 from repro.image import image_for_kpixels
+from repro.obs.tracer import STAGE_NAMES, Tracer, stage_span
 from repro.perf.calibrate import PixelStats
 from repro.smp import schedule_makespan
 from repro.tier2.codestream import CodestreamParams, TilePart, write_codestream, read_codestream
@@ -14,36 +14,18 @@ from repro.tier2.codestream import CodestreamParams, TilePart, write_codestream,
 
 class TestInstrument:
     def test_timed_accumulates(self):
-        rep = EncoderReport()
-        with rep.timed("image I/O") as st:
-            st.add_work(samples=10)
-        with rep.timed("image I/O") as st:
-            st.add_work(samples=5)
-        assert rep.stages["image I/O"].work["samples"] == 15
-        assert rep.stages["image I/O"].seconds >= 0
+        tr = Tracer()
+        for _ in range(2):
+            with stage_span(tr, "image I/O"):
+                pass
+        assert [s.name for s in tr.spans] == ["image I/O", "image I/O"]
+        assert tr.stage_seconds()["image I/O"] == pytest.approx(
+            sum(s.seconds for s in tr.spans)
+        )
 
     def test_unknown_stage_rejected(self):
-        rep = EncoderReport()
         with pytest.raises(ValueError):
-            rep.stage("mystery stage")
-
-    def test_merged_combines(self):
-        a, b = EncoderReport(), EncoderReport()
-        a.stage("quantization").add_work(samples=3)
-        a.stage("quantization").seconds = 1.0
-        b.stage("quantization").add_work(samples=4)
-        b.stage("quantization").seconds = 0.5
-        b.stage("tier-1 coding").add_work(decisions=7)
-        merged = a.merged(b)
-        assert merged.stages["quantization"].work["samples"] == 7
-        assert merged.stages["quantization"].seconds == pytest.approx(1.5)
-        assert merged.stages["tier-1 coding"].work["decisions"] == 7
-
-    def test_list_work_extends(self):
-        st = StageStats("x")
-        st.add_work(dwt_geometry=[(1, 2, 3)])
-        st.add_work(dwt_geometry=[(4, 5, 6)])
-        assert st.work["dwt_geometry"] == [(1, 2, 3), (4, 5, 6)]
+            stage_span(Tracer(), "mystery stage")
 
     def test_canonical_stage_order(self):
         assert STAGE_NAMES[0] == "image I/O"

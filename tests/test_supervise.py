@@ -18,7 +18,7 @@ from concurrent.futures.process import BrokenProcessPool
 
 from tests.conftest import encode_bytes, seeded_image
 from repro.codec import CodecParams, decode_image, encode_image
-from repro.core.backend import BACKEND_NAMES, get_backend
+from repro.core.backend import BACKEND_NAMES, SerialBackend, get_backend
 from repro.core.supervise import (
     DEGRADATION_LADDER,
     DeadlineExpired,
@@ -26,6 +26,7 @@ from repro.core.supervise import (
     SupervisionError,
     SupervisionPolicy,
     SupervisionReport,
+    call_backend,
     resolve_policy,
     supervised,
 )
@@ -317,6 +318,61 @@ class TestIntegration:
         assert np.array_equal(img, _image())
         assert report.supervision is not None
         assert "supervision:" in report.summary()
+
+
+@pytest.fixture
+def closed(monkeypatch):
+    """Every serial backend and supervisor closed during the test."""
+    log = []
+    for cls in (SerialBackend, SupervisedBackend):
+        def close(self, _original=cls.close):
+            log.append(self)
+            _original(self)
+
+        monkeypatch.setattr(cls, "close", close)
+    return log
+
+
+class TestCallBackend:
+    """The one backend set-up shared by ``encode_image``/``decode_image``."""
+
+    def test_in_place_without_backend_workers_or_policy(self):
+        with call_backend(None, 1, None) as bk:
+            assert bk is None
+
+    def test_resolves_for_workers_alone(self, closed):
+        with call_backend(None, 2) as bk:
+            assert isinstance(bk, SerialBackend) and bk.n_workers == 2
+        assert closed == [bk]
+
+    def test_closes_what_it_created_when_the_body_raises(self, closed):
+        with pytest.raises(RuntimeError, match="boom"):
+            with call_backend("serial", 2, FAST) as bk:
+                assert isinstance(bk, SupervisedBackend)
+                raise RuntimeError("boom")
+        assert closed == [bk, bk.inner]
+
+    def test_leaves_a_callers_live_backend_open(self, closed):
+        live = get_backend("serial", 2)
+        with call_backend(live, 1) as bk:
+            assert bk is live
+        with call_backend(live, 1, FAST) as sup:
+            assert sup.inner is live
+        assert closed == [sup]
+        live_sup = supervised(live, FAST)
+        with call_backend(live_sup, 1, FAST) as bk:
+            assert bk is live_sup
+        assert closed == [sup]
+        live_sup.close()
+
+    def test_codec_closes_its_supervisor_on_a_callers_backend(self, closed):
+        live = get_backend("serial", 2)
+        result = encode_image(_image(), _params(), backend=live, supervise=True)
+        assert decode_image(result.data, backend=live, supervise=True).shape
+        assert len(closed) == 2
+        assert all(isinstance(b, SupervisedBackend) for b in closed)
+        assert all(b.inner is live for b in closed)
+        assert result.supervision is closed[0].report
 
 
 class TestPolicyAndParse:
